@@ -4,10 +4,10 @@
 #include <cmath>
 #include <cstddef>
 #include <future>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "dag/subcircuit.h"
 #include "rewrite/engine.h"
 #include "support/logging.h"
 #include "support/timer.h"
@@ -22,8 +22,8 @@ namespace {
 struct PendingResynth
 {
     std::future<synth::SynthOutcome> future;
-    ir::Circuit snapshot;            //!< circuit at launch time
-    dag::SubcircuitSelection selection;
+    ir::Circuit snapshot; //!< circuit at launch time
+    ResynthCall call;     //!< its block was moved into the service
 };
 
 /** Effective per-call resynthesis ε (see GuoqConfig). */
@@ -208,8 +208,7 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             // Accepted resynthesis discards interim rewrites (§5.3):
             // the candidate is the launch-time snapshot with the new
             // block.
-            consider_circuit(dag::splice(p.snapshot, p.selection,
-                                         r.circuit),
+            consider_circuit(p.call.splice(p.snapshot, r.circuit),
                              r.distance, /*from_resynth=*/true);
         }
         pending.resize(keep);
@@ -237,27 +236,21 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                 if (pending.size() >=
                     static_cast<std::size_t>(cfg.synthWorkers))
                     continue; // all async slots busy
-                if (engine.circuit().empty())
+                std::optional<ResynthCall> call = prepareResynth(
+                    engine.circuit(), rng, set, perCallEpsilon(cfg),
+                    cfg.maxSubcircuitQubits,
+                    std::min(cfg.resynthCallSeconds, deadline.remaining()));
+                if (!call)
                     continue;
-                PendingResynth p;
-                p.selection = dag::randomConvex(
-                    engine.circuit(), rng, cfg.maxSubcircuitQubits, 32, 6);
-                if (p.selection.size() < 2)
-                    continue;
-                p.snapshot = engine.circuit();
-                ir::Circuit sub = dag::extract(p.snapshot, p.selection);
-                synth::ResynthOptions opts;
-                opts.targetSet = set;
-                opts.epsilon = perCallEpsilon(cfg);
-                opts.maxQubits = cfg.maxSubcircuitQubits;
-                opts.deadline = support::Deadline::in(
-                    std::min(cfg.resynthCallSeconds,
-                             deadline.remaining()));
                 support::Rng child = rng.fork();
-                auto fut = svc->submit(std::move(sub), opts, child);
+                auto fut =
+                    svc->submit(std::move(call->block), call->options, child);
                 if (!fut)
                     continue; // shared pool queue full: drop the call
+                PendingResynth p;
                 p.future = std::move(*fut);
+                p.snapshot = engine.circuit();
+                p.call = std::move(*call);
                 pending.push_back(std::move(p));
                 continue;
             }
@@ -277,11 +270,15 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
             continue;
         }
 
-        auto outcome = tau.apply(engine.circuit(), rng);
+        // A synchronous resynthesis call may not outlast the run.
+        auto outcome =
+            tau.apply(engine.circuit(), rng, deadline.remaining());
         if (!outcome) {
             ++result.stats.noops;
             continue;
         }
+        if (tau.kind() == TransformKind::Fusion)
+            ++result.stats.fusionBuilds;
         if (tau.kind() != TransformKind::Resynthesis)
             ++result.stats.rewriteApplications;
         if (error_curr + outcome->epsilonSpent > cfg.epsilonTotal &&
@@ -303,6 +300,7 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
     result.stats.synthCacheMisses = counters.misses;
     result.stats.synthCacheStores = counters.stores;
     result.stats.poolQueuePeak = svc->poolQueuePeak();
+    result.stats.memoNoops = engine.memoNoops();
     result.stats.seconds = timer.seconds();
     record(true);
     return result;

@@ -114,6 +114,9 @@ struct GuoqStats
     long synthCacheMisses = 0; //!< cache probes that ran a search
     long synthCacheStores = 0; //!< fresh results inserted
     long poolQueuePeak = 0;    //!< synthesis-pool queue high-water mark
+    long memoNoops = 0;        //!< rule probes the no-op memo answered
+                               //!< without a bucket scan
+    long fusionBuilds = 0;     //!< fusion calls that rebuilt the circuit
     double seconds = 0;
 };
 

@@ -156,6 +156,8 @@ mergeStats(GuoqStats &into, const GuoqStats &from)
     into.synthCacheMisses += from.synthCacheMisses;
     into.synthCacheStores += from.synthCacheStores;
     into.poolQueuePeak = std::max(into.poolQueuePeak, from.poolQueuePeak);
+    into.memoNoops += from.memoNoops;
+    into.fusionBuilds += from.fusionBuilds;
     into.seconds += from.seconds;
 }
 

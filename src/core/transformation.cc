@@ -1,6 +1,7 @@
 #include "core/transformation.h"
 
-#include "dag/subcircuit.h"
+#include <algorithm>
+
 #include "rewrite/applier.h"
 #include "support/logging.h"
 #include "synth/service.h"
@@ -21,6 +22,26 @@ constexpr std::size_t kMaxSubcircuitGates = 32;
 constexpr int kMaxSubcircuitEntanglers = 6;
 
 } // namespace
+
+std::optional<ResynthCall>
+prepareResynth(const ir::Circuit &c, support::Rng &rng, ir::GateSetKind set,
+               double epsilon, int max_qubits, double seconds)
+{
+    if (c.empty())
+        return std::nullopt;
+    ResynthCall call;
+    call.selection = dag::randomConvex(c, rng, max_qubits,
+                                       kMaxSubcircuitGates,
+                                       kMaxSubcircuitEntanglers);
+    if (call.selection.size() < 2)
+        return std::nullopt;
+    call.block = dag::extract(c, call.selection);
+    call.options.targetSet = set;
+    call.options.epsilon = epsilon;
+    call.options.maxQubits = max_qubits;
+    call.options.deadline = support::Deadline::in(seconds);
+    return call;
+}
 
 Transformation
 Transformation::fromRule(const rewrite::RewriteRule *rule)
@@ -63,7 +84,8 @@ Transformation::resynthesis(ir::GateSetKind set, double epsilon,
 }
 
 std::optional<TransformOutcome>
-Transformation::apply(const ir::Circuit &c, support::Rng &rng) const
+Transformation::apply(const ir::Circuit &c, support::Rng &rng,
+                      double max_seconds) const
 {
     switch (kind_) {
       case TransformKind::RewriteRule: {
@@ -74,35 +96,28 @@ Transformation::apply(const ir::Circuit &c, support::Rng &rng) const
         return TransformOutcome{std::move(r.circuit), 0.0};
       }
       case TransformKind::Fusion: {
-        ir::Circuit fused = transpile::fuseOneQubitRuns(c, set_);
-        if (fused.size() >= c.size())
+        // Nearly every call fuses nothing: decide that without
+        // building a circuit, and rebuild only when a run shrinks.
+        if (!transpile::fusionShrinks(c, set_))
             return std::nullopt;
-        return TransformOutcome{std::move(fused), 0.0};
+        return TransformOutcome{transpile::fuseOneQubitRuns(c, set_), 0.0};
       }
       case TransformKind::Resynthesis: {
-        if (c.empty())
+        const std::optional<ResynthCall> call =
+            prepareResynth(c, rng, set_, epsilon_, maxQubits_,
+                           std::min(perCallSeconds_, max_seconds));
+        if (!call)
             return std::nullopt;
-        const dag::SubcircuitSelection sel = dag::randomConvex(
-            c, rng, maxQubits_, kMaxSubcircuitGates,
-            kMaxSubcircuitEntanglers);
-        if (sel.size() < 2)
-            return std::nullopt;
-        const ir::Circuit sub = dag::extract(c, sel);
-        synth::ResynthOptions opts;
-        opts.targetSet = set_;
-        opts.epsilon = epsilon_;
-        opts.maxQubits = maxQubits_;
-        opts.deadline = support::Deadline::in(perCallSeconds_);
         synth::SynthService *svc =
             service_ != nullptr ? service_ : &synth::SynthService::global();
-        const synth::SynthOutcome so = svc->resynthesize(sub, opts, rng);
+        const synth::SynthOutcome so =
+            svc->resynthesize(call->block, call->options, rng);
         if (counters_ != nullptr)
             counters_->add(so);
         const synth::ResynthResult &r = so.result;
-        if (!r.success || r.circuit.gates() == sub.gates())
+        if (!r.success || r.circuit.gates() == call->block.gates())
             return std::nullopt; // failed or unchanged: free no-op
-        TransformOutcome out{dag::splice(c, sel, r.circuit), r.distance};
-        return out;
+        return TransformOutcome{call->splice(c, r.circuit), r.distance};
       }
     }
     support::panic("Transformation::apply: unknown kind");

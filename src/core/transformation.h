@@ -12,14 +12,17 @@
 
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <string>
 
+#include "dag/subcircuit.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
 #include "support/timer.h"
+#include "synth/resynth.h"
 
 namespace guoq {
 
@@ -51,6 +54,37 @@ struct TransformOutcome
      */
     double epsilonSpent = 0;
 };
+
+/**
+ * One resynthesis call, set up (paper §5.3): the synchronous
+ * Transformation::apply and core::optimize's asynchronous launches
+ * both go through prepareResynth.
+ */
+struct ResynthCall
+{
+    dag::SubcircuitSelection selection; //!< the random convex block
+    ir::Circuit block;                  //!< the block, standalone
+    synth::ResynthOptions options;      //!< set, ε, qubit cap, deadline
+
+    /** @p c (the circuit the block came from) with it replaced. */
+    ir::Circuit
+    splice(const ir::Circuit &c, const ir::Circuit &replacement) const
+    {
+        return dag::splice(c, selection, replacement);
+    }
+};
+
+/**
+ * Grow a random convex block of at most @p max_qubits qubits in @p c
+ * and set up its synthesis into @p set within @p epsilon, with a
+ * deadline @p seconds from now. std::nullopt when @p c is empty (no
+ * RNG draw) or the block has fewer than two gates.
+ */
+std::optional<ResynthCall> prepareResynth(const ir::Circuit &c,
+                                          support::Rng &rng,
+                                          ir::GateSetKind set,
+                                          double epsilon, int max_qubits,
+                                          double seconds);
 
 /** A closed-box τ_ε. */
 class Transformation
@@ -92,10 +126,15 @@ class Transformation
     /**
      * Apply to @p c. Returns std::nullopt when nothing changed (no
      * match, synthesis failure, or timeout) — the GUOQ loop treats
-     * that as a free no-op iteration.
+     * that as a free no-op iteration. A resynthesis call gets the
+     * smaller of its per-call seconds and @p max_seconds (the caller's
+     * remaining budget). Fusion rebuilds the circuit only after
+     * transpile::fusionShrinks says a run shrinks.
      */
-    std::optional<TransformOutcome> apply(const ir::Circuit &c,
-                                          support::Rng &rng) const;
+    std::optional<TransformOutcome>
+    apply(const ir::Circuit &c, support::Rng &rng,
+          double max_seconds =
+              std::numeric_limits<double>::infinity()) const;
 
   private:
     Transformation() = default;

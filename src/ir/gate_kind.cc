@@ -43,10 +43,19 @@ using linalg::ComplexMatrix;
 
 const Complex kI(0, 1);
 
-ComplexMatrix
+linalg::Matrix2
 mat1(Complex a, Complex b, Complex c, Complex d)
 {
-    return ComplexMatrix{{a, b}, {c, d}};
+    return {a, b, c, d};
+}
+
+void
+checkParamCount(GateKind kind, const std::vector<double> &params)
+{
+    if (static_cast<int>(params.size()) != gateParamCount(kind))
+        support::panic(support::strcat("gateMatrix(", gateName(kind),
+                                       "): want ", gateParamCount(kind),
+                                       " params, got ", params.size()));
 }
 
 } // namespace
@@ -102,13 +111,10 @@ isTGate(GateKind kind)
     return kind == GateKind::T || kind == GateKind::Tdg;
 }
 
-ComplexMatrix
-gateMatrix(GateKind kind, const std::vector<double> &params)
+linalg::Matrix2
+oneQubitMatrix(GateKind kind, const std::vector<double> &params)
 {
-    if (static_cast<int>(params.size()) != gateParamCount(kind))
-        support::panic(support::strcat("gateMatrix(", gateName(kind),
-                                       "): want ", gateParamCount(kind),
-                                       " params, got ", params.size()));
+    checkParamCount(kind, params);
     const double isq = 1.0 / std::sqrt(2.0);
     switch (kind) {
       case GateKind::H:
@@ -158,6 +164,19 @@ gateMatrix(GateKind kind, const std::vector<double> &params)
         return mat1(c, -s * std::polar(1.0, lam), s * std::polar(1.0, phi),
                     c * std::polar(1.0, phi + lam));
       }
+      default:
+        support::panic(support::strcat("oneQubitMatrix: ", gateName(kind),
+                                       " is not a 1-qubit gate"));
+    }
+}
+
+ComplexMatrix
+gateMatrix(GateKind kind, const std::vector<double> &params)
+{
+    if (gateArity(kind) == 1)
+        return ComplexMatrix::fromMatrix2(oneQubitMatrix(kind, params));
+    checkParamCount(kind, params);
+    switch (kind) {
       case GateKind::CX:
         return ComplexMatrix{{1, 0, 0, 0},
                              {0, 1, 0, 0},

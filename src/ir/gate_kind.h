@@ -83,5 +83,12 @@ bool isTGate(GateKind kind);
 linalg::ComplexMatrix gateMatrix(GateKind kind,
                                  const std::vector<double> &params);
 
+/**
+ * gateMatrix for a 1-qubit @p kind, by value and without allocation
+ * (the same entries bit for bit).
+ */
+linalg::Matrix2 oneQubitMatrix(GateKind kind,
+                               const std::vector<double> &params);
+
 } // namespace ir
 } // namespace guoq

@@ -37,6 +37,24 @@ ComplexMatrix::identity(std::size_t n)
 }
 
 ComplexMatrix
+ComplexMatrix::fromMatrix2(const Matrix2 &m)
+{
+    ComplexMatrix out(2, 2);
+    for (std::size_t i = 0; i < 4; ++i)
+        out.data_[i] = m[i];
+    return out;
+}
+
+Matrix2
+ComplexMatrix::toMatrix2() const
+{
+    if (rows_ != 2 || cols_ != 2)
+        support::panic(support::strcat("toMatrix2: matrix is ", rows_, "x",
+                                       cols_, ", not 2x2"));
+    return {data_[0], data_[1], data_[2], data_[3]};
+}
+
+ComplexMatrix
 ComplexMatrix::operator*(const ComplexMatrix &rhs) const
 {
     if (cols_ != rhs.rows_)
@@ -44,19 +62,8 @@ ComplexMatrix::operator*(const ComplexMatrix &rhs) const
                                        cols_, " * ", rhs.rows_, "x",
                                        rhs.cols_));
     ComplexMatrix out(rows_, rhs.cols_);
-    // i-k-j loop order keeps the inner loop streaming over contiguous
-    // rows of both rhs and out.
-    for (std::size_t i = 0; i < rows_; ++i) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const Complex a = (*this)(i, k);
-            if (a == Complex{})
-                continue;
-            const Complex *rrow = rhs.data_.data() + k * rhs.cols_;
-            Complex *orow = out.data_.data() + i * rhs.cols_;
-            for (std::size_t j = 0; j < rhs.cols_; ++j)
-                orow[j] += a * rrow[j];
-        }
-    }
+    matmulAccumulate(data_.data(), rhs.data_.data(), out.data_.data(),
+                     rows_, cols_, rhs.cols_);
     return out;
 }
 

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstddef>
 #include <string>
@@ -19,6 +20,46 @@ namespace guoq {
 namespace linalg {
 
 using Complex = std::complex<double>;
+
+/**
+ * out += a * b over row-major storage (@p a is rows x inner, @p b is
+ * inner x cols): i-k-j order, skipping zero entries of @p a. The one
+ * product kernel behind ComplexMatrix::operator* and the fixed 2x2
+ * product below, so both round the same way.
+ */
+inline void
+matmulAccumulate(const Complex *a, const Complex *b, Complex *out,
+                 std::size_t rows, std::size_t inner, std::size_t cols)
+{
+    // i-k-j loop order keeps the inner loop streaming over contiguous
+    // rows of both b and out.
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t k = 0; k < inner; ++k) {
+            const Complex aik = a[i * inner + k];
+            if (aik == Complex{})
+                continue;
+            const Complex *brow = b + k * cols;
+            Complex *orow = out + i * cols;
+            for (std::size_t j = 0; j < cols; ++j)
+                orow[j] += aik * brow[j];
+        }
+    }
+}
+
+/**
+ * A single-qubit unitary by value, row-major — the allocation-free
+ * form the 1q-fusion hot path works in.
+ */
+using Matrix2 = std::array<Complex, 4>;
+
+/** a * b, bit-identical to the same product of 2x2 ComplexMatrix. */
+inline Matrix2
+product(const Matrix2 &a, const Matrix2 &b)
+{
+    Matrix2 out{};
+    matmulAccumulate(a.data(), b.data(), out.data(), 2, 2, 2);
+    return out;
+}
 
 /** Row-major dense complex matrix. */
 class ComplexMatrix
@@ -35,6 +76,12 @@ class ComplexMatrix
 
     /** The n x n identity. */
     static ComplexMatrix identity(std::size_t n);
+
+    /** The 2x2 matrix holding @p m. */
+    static ComplexMatrix fromMatrix2(const Matrix2 &m);
+
+    /** The entries of a 2x2 matrix (panics on any other shape). */
+    Matrix2 toMatrix2() const;
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "support/logging.h"
 
 namespace guoq {
 namespace linalg {
@@ -33,18 +32,15 @@ rzMatrix(double t)
 }
 
 EulerZyz
-decomposeZyz(const ComplexMatrix &u)
+decomposeZyz(const Matrix2 &u)
 {
-    if (u.rows() != 2 || u.cols() != 2)
-        support::panic("decomposeZyz requires a 2x2 matrix");
-
     // Pull out the global phase: U = e^{iα} V with det(V) = 1.
-    const Complex det = u(0, 0) * u(1, 1) - u(0, 1) * u(1, 0);
+    const Complex det = u[0] * u[3] - u[1] * u[2];
     const double alpha = 0.5 * std::arg(det);
     const Complex inv_phase = std::polar(1.0, -alpha);
-    const Complex v00 = u(0, 0) * inv_phase;
-    const Complex v10 = u(1, 0) * inv_phase;
-    const Complex v11 = u(1, 1) * inv_phase;
+    const Complex v00 = u[0] * inv_phase;
+    const Complex v10 = u[2] * inv_phase;
+    const Complex v11 = u[3] * inv_phase;
 
     // V = [[cos(γ/2) e^{-i(β+δ)/2}, -sin(γ/2) e^{-i(β-δ)/2}],
     //      [sin(γ/2) e^{ i(β-δ)/2},  cos(γ/2) e^{ i(β+δ)/2}]]
@@ -70,13 +66,25 @@ decomposeZyz(const ComplexMatrix &u)
     return e;
 }
 
+EulerZyz
+decomposeZyz(const ComplexMatrix &u)
+{
+    return decomposeZyz(u.toMatrix2());
+}
+
 EulerZxz
-decomposeZxz(const ComplexMatrix &u)
+decomposeZxz(const Matrix2 &u)
 {
     // Ry(γ) = Rz(π/2) Rx(γ) Rz(-π/2), so
     // Rz(β) Ry(γ) Rz(δ) = Rz(β + π/2) Rx(γ) Rz(δ - π/2).
     const EulerZyz z = decomposeZyz(u);
     return EulerZxz{z.alpha, z.beta + kPi / 2, z.gamma, z.delta - kPi / 2};
+}
+
+EulerZxz
+decomposeZxz(const ComplexMatrix &u)
+{
+    return decomposeZxz(u.toMatrix2());
 }
 
 ComplexMatrix

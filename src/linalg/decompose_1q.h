@@ -36,9 +36,11 @@ struct EulerZxz
 };
 
 /** Decompose a 2x2 unitary into ZYZ Euler angles. */
+EulerZyz decomposeZyz(const Matrix2 &u);
 EulerZyz decomposeZyz(const ComplexMatrix &u);
 
 /** Decompose a 2x2 unitary into ZXZ Euler angles. */
+EulerZxz decomposeZxz(const Matrix2 &u);
 EulerZxz decomposeZxz(const ComplexMatrix &u);
 
 /** 2x2 rotation matrices (shared by tests and transpile). */

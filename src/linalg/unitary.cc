@@ -26,6 +26,38 @@ absTraceUdagV(const ComplexMatrix &u, const ComplexMatrix &v)
     return std::abs(t);
 }
 
+/** equalUpToGlobalPhase over @p n2 row-major entries of each matrix. */
+bool
+equalUpToGlobalPhaseN(const Complex *u, const Complex *v, std::size_t n2,
+                      double tol)
+{
+    // Find the largest-magnitude entry of u to anchor the phase.
+    std::size_t best = 0;
+    double bestMag = 0;
+    for (std::size_t i = 0; i < n2; ++i) {
+        const double m = std::abs(u[i]);
+        if (m > bestMag) {
+            bestMag = m;
+            best = i;
+        }
+    }
+    if (bestMag < tol) {
+        double vnorm2 = 0; // v's Frobenius norm, squared
+        for (std::size_t i = 0; i < n2; ++i)
+            vnorm2 += std::norm(v[i]);
+        return std::sqrt(vnorm2) < tol;
+    }
+    if (std::abs(v[best]) < tol)
+        return false;
+    const Complex phase = v[best] / u[best];
+    if (std::abs(std::abs(phase) - 1.0) > tol)
+        return false;
+    for (std::size_t i = 0; i < n2; ++i)
+        if (std::abs(u[i] * phase - v[i]) > tol)
+            return false;
+    return true;
+}
+
 } // namespace
 
 double
@@ -49,28 +81,14 @@ equalUpToGlobalPhase(const ComplexMatrix &u, const ComplexMatrix &v,
 {
     if (u.rows() != v.rows() || u.cols() != v.cols())
         return false;
-    // Find the largest-magnitude entry of u to anchor the phase.
-    std::size_t best = 0;
-    double bestMag = 0;
-    const std::size_t n2 = u.rows() * u.cols();
-    for (std::size_t i = 0; i < n2; ++i) {
-        const double m = std::abs(u.data()[i]);
-        if (m > bestMag) {
-            bestMag = m;
-            best = i;
-        }
-    }
-    if (bestMag < tol)
-        return v.frobeniusNorm() < tol;
-    if (std::abs(v.data()[best]) < tol)
-        return false;
-    const Complex phase = v.data()[best] / u.data()[best];
-    if (std::abs(std::abs(phase) - 1.0) > tol)
-        return false;
-    for (std::size_t i = 0; i < n2; ++i)
-        if (std::abs(u.data()[i] * phase - v.data()[i]) > tol)
-            return false;
-    return true;
+    return equalUpToGlobalPhaseN(u.data(), v.data(), u.rows() * u.cols(),
+                                 tol);
+}
+
+bool
+equalUpToGlobalPhase(const Matrix2 &u, const Matrix2 &v, double tol)
+{
+    return equalUpToGlobalPhaseN(u.data(), v.data(), 4, tol);
 }
 
 double

@@ -29,6 +29,8 @@ bool approxEquivalent(const ComplexMatrix &u, const ComplexMatrix &v,
  */
 bool equalUpToGlobalPhase(const ComplexMatrix &u, const ComplexMatrix &v,
                           double tol = 1e-9);
+bool equalUpToGlobalPhase(const Matrix2 &u, const Matrix2 &v,
+                          double tol = 1e-9);
 
 /**
  * The Hilbert–Schmidt *cost* used by the numerical synthesizers:

@@ -25,6 +25,23 @@
  * configured) are maintained as deltas from the removed/inserted gate
  * lists instead of re-scanned.
  *
+ * Most passes find no match at all, and most of those repeat an
+ * earlier empty pass of the same rule. The no-op memo makes them
+ * cost only what changed since: the engine remembers, per rule, the
+ * commit after which the rule last matched nowhere, and every commit
+ * stamps the gates it inserts or re-links (a surviving gate whose wire
+ * neighbour was removed or inserted). A match made only of unstamped
+ * gates has the same kinds, angles, wire links and splice window as
+ * when the rule was last empty, so it cannot exist; any new match
+ * holds a stamped gate, and its anchor lies at most |pattern| - 1 wire
+ * steps before that gate. A memoized rule is answered by probing only
+ * those anchors; when one of them matches, the ordinary full pass runs
+ * from the requested anchor, so results stay bit-identical. assign()
+ * forgets every memo.
+ *
+ * Rules are remembered by address: a rule passed to the engine must
+ * outlive it (the rule libraries of rulesFor() are static).
+ *
  * Equivalence contract: for any (circuit, rule, anchor), a
  * preparePass + commit yields bit-for-bit the gate list of the legacy
  * applyRulePass, and preparePassRandom consumes exactly the same RNG
@@ -36,8 +53,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "dag/circuit_dag.h"
@@ -95,8 +114,10 @@ class RewriteEngine
      * Run one full rule pass from @p start_anchor in the legacy cyclic
      * anchor order, recording every non-overlapping match, without
      * touching the working circuit. Returns std::nullopt (and leaves
-     * nothing pending) when no match fires. The pass must then be
-     * resolved with commit() or discard() before the next one.
+     * nothing pending) when no match fires; for a rule the no-op memo
+     * holds as empty, that answer costs only the anchors near gates
+     * stamped since. The pass must then be resolved with commit() or
+     * discard() before the next one.
      */
     std::optional<Attempt> preparePass(const RewriteRule &rule,
                                        std::size_t start_anchor);
@@ -126,24 +147,51 @@ class RewriteEngine
     void discard();
 
     /**
+     * Rule passes the no-op memo answered without a full bucket scan
+     * (see file comment), since construction.
+     */
+    long memoNoops() const { return memoNoops_; }
+
+    /**
      * Revalidate every cached structure — wire links, kind buckets,
-     * counters — against a fresh scan of the working circuit. Panics
-     * (support::panic) on any corruption; used by the test suite after
-     * splices and by debugging sessions.
+     * counters, gate stamps — against a fresh scan of the working
+     * circuit, and re-scan every rule the no-op memo holds as empty.
+     * Panics (support::panic) on any corruption or on a match the
+     * memo hides; used by the test suite after splices and by
+     * debugging sessions.
      */
     void checkInvariants() const;
 
   private:
     void reindex();
     void recount();
+    /** Forget every memo and stamp (the circuit was replaced). */
+    void resetMemo();
+    struct EmptyMark;
     /**
-     * Emit the pending pass into @p out, replicating the legacy
-     * rebuild: at each original position, first the replacement blocks
-     * whose insertPos equals it (in discovery order), then the
-     * original gate when unmatched. @p move_gates moves rather than
-     * copies both sources (commit path).
+     * True when @p rule, matchless at @p mark, provably still matches
+     * nowhere: no anchor that a gate stamped since leads back to
+     * matches. False when one does, or when probing them would cost
+     * more than half the full pass.
      */
-    void materializeInto(std::vector<ir::Gate> &out, bool move_gates);
+    bool stillEmpty(const RewriteRule &rule, const EmptyMark &mark);
+    /** Stamps issued so far to gates of @p rule's pattern kinds. */
+    std::uint64_t stampsOfKinds(const RewriteRule &rule) const;
+    /**
+     * Count a commit and stamp, in place, the surviving gates the
+     * pending pass re-links; runs while the working circuit and wire
+     * index still describe the old circuit.
+     */
+    void stampRelinked();
+    /**
+     * Walk the pending pass in output order, replicating the legacy
+     * rebuild: at each original position first the replacement blocks
+     * whose insertPos equals it (in discovery order), then the
+     * original gate when unmatched. Calls
+     * @p emit(gate, old index), with dag::kNoGate for replacements.
+     */
+    template <class Emit>
+    void emitPending(Emit &&emit);
     void clearPending();
 
     ir::Circuit circuit_;
@@ -174,6 +222,29 @@ class RewriteEngine
     ir::Circuit candidate_;
     bool candidateReady_ = false;
     std::vector<ir::Gate> gateScratch_; // commit compaction buffer
+
+    // No-op memo (see file comment). emptySince_[rule] marks when the
+    // rule last matched nowhere: the commit count and stampsOfKinds
+    // then (commit kNoMemo: it matched). gateStamp_[i] is the last
+    // commit that inserted or re-linked gate i (0: none since
+    // construction or assign()); stampsIssued_ counts the stamps given
+    // out per gate kind, repeats included.
+    static constexpr std::uint64_t kNoMemo = ~std::uint64_t{0};
+    struct EmptyMark
+    {
+        std::uint64_t commit = kNoMemo;
+        std::uint64_t stamps = 0;
+    };
+    std::unordered_map<const RewriteRule *, EmptyMark> emptySince_;
+    std::vector<std::uint64_t> gateStamp_;
+    std::uint64_t commits_ = 0;
+    std::array<std::uint64_t,
+               static_cast<std::size_t>(ir::GateKind::NumKinds)>
+        stampsIssued_{};
+    long memoNoops_ = 0;
+    std::vector<std::uint64_t> stampScratch_; // commit's stamp buffer
+    std::vector<std::uint64_t> probedStamp_;  // anchors probed, by epoch
+    std::uint64_t probeEpoch_ = 0;
 };
 
 } // namespace rewrite

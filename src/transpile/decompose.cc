@@ -1,5 +1,6 @@
 #include "transpile/decompose.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/decompose_1q.h"
@@ -13,16 +14,6 @@ namespace {
 
 using ir::Gate;
 using ir::GateKind;
-
-/** Append Rz(angle) unless the angle is ~0 mod 2π. */
-void
-pushRz(std::vector<Gate> *out, double angle, int qubit)
-{
-    const double a = ir::normalizeAngle(angle);
-    if (!ir::isZeroAngle(a, 1e-12))
-        out->emplace_back(GateKind::Rz, std::vector<int>{qubit},
-                          std::vector<double>{a});
-}
 
 } // namespace
 
@@ -142,15 +133,28 @@ expandToCxBasis(const ir::Circuit &c)
     return out;
 }
 
-std::vector<Gate>
-oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
-                 ir::GateSetKind set)
+void
+NativeOneQubit::push(ir::GateKind kind, std::initializer_list<double> params)
 {
-    if (u.rows() != 2 || u.cols() != 2)
-        support::panic("oneQubitToNative: matrix is not 2x2");
+    Op &op = ops[static_cast<std::size_t>(size++)];
+    op.kind = kind;
+    op.numParams = static_cast<int>(params.size());
+    std::copy(params.begin(), params.end(), op.params.begin());
+}
 
+void
+NativeOneQubit::pushRz(double angle)
+{
+    const double a = ir::normalizeAngle(angle);
+    if (!ir::isZeroAngle(a, 1e-12))
+        push(GateKind::Rz, {a});
+}
+
+NativeOneQubit
+nativeOneQubit(const linalg::Matrix2 &u, ir::GateSetKind set)
+{
     const linalg::EulerZyz e = linalg::decomposeZyz(u);
-    std::vector<Gate> out;
+    NativeOneQubit out;
 
     // Single-gate dictionary: when the unitary is (mod phase) one of
     // the set's fixed native 1q gates, emit exactly that gate instead
@@ -158,9 +162,9 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
     for (GateKind kind : ir::nativeGates(set)) {
         if (ir::gateArity(kind) != 1 || ir::isParameterized(kind))
             continue;
-        if (linalg::equalUpToGlobalPhase(
-                ir::gateMatrix(kind, {}), u, 1e-10)) {
-            out.emplace_back(kind, std::vector<int>{qubit});
+        if (linalg::equalUpToGlobalPhase(ir::oneQubitMatrix(kind, {}), u,
+                                         1e-10)) {
+            out.push(kind, {});
             return out;
         }
     }
@@ -169,8 +173,7 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
     if (ir::isNative(set, GateKind::Rx) &&
         std::abs(ir::normalizeAngle(e.beta + M_PI / 2)) <= 1e-10 &&
         std::abs(ir::normalizeAngle(e.delta - M_PI / 2)) <= 1e-10) {
-        out.emplace_back(GateKind::Rx, std::vector<int>{qubit},
-                         std::vector<double>{e.gamma});
+        out.push(GateKind::Rx, {e.gamma});
         return out;
     }
 
@@ -179,13 +182,11 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
         switch (set) {
           case ir::GateSetKind::Ibmq20:
             if (!ir::isZeroAngle(ir::normalizeAngle(e.beta + e.delta)))
-                out.emplace_back(
-                    GateKind::U1, std::vector<int>{qubit},
-                    std::vector<double>{
-                        ir::normalizeAngle(e.beta + e.delta)});
+                out.push(GateKind::U1,
+                         {ir::normalizeAngle(e.beta + e.delta)});
             return out;
           default:
-            pushRz(&out, e.beta + e.delta, qubit);
+            out.pushRz(e.beta + e.delta);
             return out;
         }
     }
@@ -193,38 +194,33 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
     switch (set) {
       case ir::GateSetKind::Ibmq20:
         // U3(θ,φ,λ) ∝ Rz(φ) Ry(θ) Rz(λ); θ = π/2 is exactly a U2.
-        if (std::abs(ir::normalizeAngle(e.gamma - M_PI / 2)) <= 1e-12) {
-            out.emplace_back(GateKind::U2, std::vector<int>{qubit},
-                             std::vector<double>{e.beta, e.delta});
-        } else {
-            out.emplace_back(GateKind::U3, std::vector<int>{qubit},
-                             std::vector<double>{e.gamma, e.beta, e.delta});
-        }
+        if (std::abs(ir::normalizeAngle(e.gamma - M_PI / 2)) <= 1e-12)
+            out.push(GateKind::U2, {e.beta, e.delta});
+        else
+            out.push(GateKind::U3, {e.gamma, e.beta, e.delta});
         return out;
-      case ir::GateSetKind::IbmEagle: {
+      case ir::GateSetKind::IbmEagle:
         // U3(θ,φ,λ) ∝ Rz(φ+π) SX Rz(θ+π) SX Rz(λ) — the Qiskit
         // ZSXZSXZ form (gates emitted in time order, inner Rz first).
-        pushRz(&out, e.delta, qubit);
-        out.emplace_back(GateKind::SX, std::vector<int>{qubit});
-        pushRz(&out, e.gamma + M_PI, qubit);
-        out.emplace_back(GateKind::SX, std::vector<int>{qubit});
-        pushRz(&out, e.beta + M_PI, qubit);
+        out.pushRz(e.delta);
+        out.push(GateKind::SX, {});
+        out.pushRz(e.gamma + M_PI);
+        out.push(GateKind::SX, {});
+        out.pushRz(e.beta + M_PI);
         return out;
-      }
       case ir::GateSetKind::IonQ:
-        pushRz(&out, e.delta, qubit);
-        out.emplace_back(GateKind::Ry, std::vector<int>{qubit},
-                         std::vector<double>{e.gamma});
-        pushRz(&out, e.beta, qubit);
+        out.pushRz(e.delta);
+        out.push(GateKind::Ry, {e.gamma});
+        out.pushRz(e.beta);
         return out;
       case ir::GateSetKind::Nam: {
         // ZXZ with Rx(γ) = H Rz(γ) H.
         const linalg::EulerZxz x = linalg::decomposeZxz(u);
-        pushRz(&out, x.delta, qubit);
-        out.emplace_back(GateKind::H, std::vector<int>{qubit});
-        pushRz(&out, x.gamma, qubit);
-        out.emplace_back(GateKind::H, std::vector<int>{qubit});
-        pushRz(&out, x.beta, qubit);
+        out.pushRz(x.delta);
+        out.push(GateKind::H, {});
+        out.pushRz(x.gamma);
+        out.push(GateKind::H, {});
+        out.pushRz(x.beta);
         return out;
       }
       case ir::GateSetKind::CliffordT:
@@ -232,6 +228,42 @@ oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
                        "oneQubitCliffordT");
     }
     support::panic("oneQubitToNative: unknown gate set");
+}
+
+int
+longestNativeOneQubit(ir::GateSetKind set)
+{
+    switch (set) {
+      case ir::GateSetKind::Ibmq20:
+        return 1; // one U1/U2/U3
+      case ir::GateSetKind::IonQ:
+        return 3; // Rz Ry Rz
+      default:
+        return 5; // Rz SX Rz SX Rz / Rz H Rz H Rz
+    }
+}
+
+std::vector<Gate>
+oneQubitToNative(const linalg::Matrix2 &u, int qubit, ir::GateSetKind set)
+{
+    const NativeOneQubit form = nativeOneQubit(u, set);
+    std::vector<Gate> out;
+    out.reserve(static_cast<std::size_t>(form.size));
+    for (int i = 0; i < form.size; ++i) {
+        const NativeOneQubit::Op &op = form.ops[static_cast<std::size_t>(i)];
+        out.emplace_back(op.kind, std::vector<int>{qubit},
+                         std::vector<double>(op.params.begin(),
+                                             op.params.begin() +
+                                                 op.numParams));
+    }
+    return out;
+}
+
+std::vector<Gate>
+oneQubitToNative(const linalg::ComplexMatrix &u, int qubit,
+                 ir::GateSetKind set)
+{
+    return oneQubitToNative(u.toMatrix2(), qubit, set);
 }
 
 bool

@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <array>
+#include <initializer_list>
 #include <vector>
 
 #include "ir/circuit.h"
@@ -48,6 +50,34 @@ std::vector<ir::Gate> rxxViaCx(double theta, int a, int b);
  */
 std::vector<ir::Gate> oneQubitToNative(const linalg::ComplexMatrix &u,
                                        int qubit, ir::GateSetKind set);
+std::vector<ir::Gate> oneQubitToNative(const linalg::Matrix2 &u, int qubit,
+                                       ir::GateSetKind set);
+
+/**
+ * What oneQubitToNative emits, held by value: at most five native 1q
+ * gates (kinds and angles, in time order), with no allocation.
+ */
+struct NativeOneQubit
+{
+    struct Op
+    {
+        ir::GateKind kind = ir::GateKind::Rz;
+        int numParams = 0;
+        std::array<double, 3> params{};
+    };
+    std::array<Op, 5> ops{};
+    int size = 0;
+
+    void push(ir::GateKind kind, std::initializer_list<double> params);
+    /** Append Rz(angle) unless the angle is ~0 mod 2π. */
+    void pushRz(double angle);
+};
+
+/** The gates oneQubitToNative(u, ·, set) emits, without allocating. */
+NativeOneQubit nativeOneQubit(const linalg::Matrix2 &u, ir::GateSetKind set);
+
+/** The most gates nativeOneQubit emits for @p set, over all inputs. */
+int longestNativeOneQubit(ir::GateSetKind set);
 
 /**
  * True when @p angle is an integer multiple of π/4 (within @p tol),

@@ -41,5 +41,14 @@ bool allNative(const ir::Circuit &c, ir::GateSetKind set);
  */
 ir::Circuit fuseOneQubitRuns(const ir::Circuit &c, ir::GateSetKind set);
 
+/**
+ * True iff fuseOneQubitRuns(c, set) has fewer gates than @p c, i.e.
+ * some run's fused form is shorter than the run. Decided with the
+ * same arithmetic but without building a circuit or allocating (after
+ * the first call on a thread), and it stops at the first run that
+ * shrinks — the check 1q fusion makes before paying for a rebuild.
+ */
+bool fusionShrinks(const ir::Circuit &c, ir::GateSetKind set);
+
 } // namespace transpile
 } // namespace guoq

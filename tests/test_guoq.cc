@@ -126,6 +126,38 @@ TEST(Guoq, RespectsTimeBudget)
     EXPECT_LT(timer.seconds(), 3.0);
 }
 
+TEST(Guoq, SyncResynthesisStopsAtTheRunBudget)
+{
+    // Every iteration resynthesizes, and one call alone may take far
+    // longer than the run: the call must be cut at the run's deadline.
+    support::Rng rng(6);
+    const ir::Circuit c =
+        testutil::randomNativeCircuit(ir::GateSetKind::Nam, 3, 60, rng);
+    core::GuoqConfig cfg = quickConfig(1e-6, 0.3);
+    cfg.resynthProbability = 1.0;
+    cfg.resynthCallSeconds = 30.0;
+    cfg.resynthCallEpsilon = 1e-12;
+    support::Timer timer;
+    const core::GuoqResult r =
+        core::optimize(c, ir::GateSetKind::Nam, cfg);
+    EXPECT_GT(r.stats.resynthCalls, 0);
+    EXPECT_LT(timer.seconds(), 2.0);
+}
+
+TEST(Guoq, FastPathCountersAreReported)
+{
+    support::Rng rng(9);
+    const ir::Circuit c =
+        testutil::randomNativeCircuit(ir::GateSetKind::Nam, 5, 120, rng);
+    const core::GuoqResult r = core::optimize(
+        c, ir::GateSetKind::Nam, quickConfig(0, 10.0, 20000));
+    // Memo answers are no-op rule passes; fusion rebuilds are fusion
+    // applications.
+    EXPECT_GT(r.stats.memoNoops, 0);
+    EXPECT_LE(r.stats.memoNoops, r.stats.noops);
+    EXPECT_LE(r.stats.fusionBuilds, r.stats.rewriteApplications);
+}
+
 TEST(Guoq, TraceIsMonotoneNonIncreasing)
 {
     const ir::Circuit c =

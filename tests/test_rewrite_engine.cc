@@ -8,9 +8,10 @@
  *    and as a materialized-but-uncommitted candidate;
  *  - RNG equivalence: preparePassRandom consumes exactly the draws of
  *    applyRulePassRandom;
- *  - invariants: wire links, kind buckets, and cached counters are
- *    revalidated after every splice (checkInvariants death tests
- *    cover corruption);
+ *  - invariants: wire links, kind buckets, cached counters and gate
+ *    stamps are revalidated after every splice, and no rule the no-op
+ *    memo holds as empty may match unseen (checkInvariants death
+ *    tests cover corruption);
  *  - determinism pins: fixed-seed single-thread core::optimize()
  *    fingerprints captured on the pre-engine implementation — the
  *    engine swap must be bit-for-bit invisible;
@@ -64,12 +65,15 @@ TEST(RewriteEngineDifferential, EveryPassMatchesLegacyAcrossAllSets)
     for (const ir::GateSetKind set : kAllSets) {
         const auto &rules = rewrite::rulesFor(set);
         support::Rng rng(42 + static_cast<std::uint64_t>(set));
+        long memo_noops = 0;
         for (int round = 0; round < 3; ++round) {
             ir::Circuit c = testutil::randomNativeCircuit(
                 set, 5, 60 + 20 * round, rng);
             rewrite::RewriteEngine engine{ir::Circuit(c)};
             int committed = 0;
-            for (int step = 0; step < 200; ++step) {
+            // Enough steps that rules come back empty after commits,
+            // so the no-op memo answers probes and is checked.
+            for (int step = 0; step < 800; ++step) {
                 const rewrite::RewriteRule &rule =
                     rules[rng.index(rules.size())];
                 const std::size_t anchor =
@@ -94,13 +98,15 @@ TEST(RewriteEngineDifferential, EveryPassMatchesLegacyAcrossAllSets)
                 ++committed;
                 c = legacy.circuit;
                 ASSERT_TRUE(sameGates(engine.circuit(), c));
-                if (committed % 8 == 0)
-                    engine.checkInvariants();
+                // Also re-scans every rule the memo holds as empty.
+                engine.checkInvariants();
             }
-            engine.checkInvariants();
             EXPECT_GT(committed, 0) << "no rule ever fired for set "
                                     << ir::gateSetName(set);
+            memo_noops += engine.memoNoops();
         }
+        EXPECT_GT(memo_noops, 0) << "the memo never answered for set "
+                                 << ir::gateSetName(set);
     }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sim/unitary_sim.h"
 #include "tests/test_util.h"
@@ -241,18 +242,89 @@ TEST(Fusion, StopsAtTwoQubitGates)
     EXPECT_LT(sim::circuitDistance(c, out), kExact);
 }
 
+/** fusionShrinks must say exactly whether the rebuild is shorter. */
+::testing::AssertionResult
+checkAgreesWithRebuild(const ir::Circuit &c, ir::GateSetKind set)
+{
+    const bool rebuilt =
+        transpile::fuseOneQubitRuns(c, set).size() < c.size();
+    if (transpile::fusionShrinks(c, set) == rebuilt)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << ir::gateSetName(set) << ": rebuild "
+           << (rebuilt ? "shrinks" : "does not shrink") << "\n"
+           << c.toString();
+}
+
+const std::vector<ir::GateSetKind> kContinuousSets = {
+    ir::GateSetKind::Ibmq20, ir::GateSetKind::IbmEagle,
+    ir::GateSetKind::IonQ, ir::GateSetKind::Nam};
+
+/** The set's native diagonal rotation: U1 on ibmq20, Rz elsewhere. */
+ir::GateKind
+phaseKind(ir::GateSetKind set)
+{
+    return set == ir::GateSetKind::Ibmq20 ? ir::GateKind::U1
+                                          : ir::GateKind::Rz;
+}
+
 TEST(Fusion, NeverGrowsTheCircuit)
 {
     support::Rng rng(55);
-    for (ir::GateSetKind set :
-         {ir::GateSetKind::Ibmq20, ir::GateSetKind::IbmEagle,
-          ir::GateSetKind::IonQ, ir::GateSetKind::Nam}) {
-        const ir::Circuit c =
-            testutil::randomNativeCircuit(set, 4, 40, rng);
-        const ir::Circuit out = transpile::fuseOneQubitRuns(c, set);
-        EXPECT_LE(out.size(), c.size()) << ir::gateSetName(set);
-        EXPECT_LT(sim::circuitDistance(c, out), kExact)
-            << ir::gateSetName(set);
+    int shrinking = 0;
+    int stable = 0;
+    for (int round = 0; round < 30; ++round) {
+        for (ir::GateSetKind set : kContinuousSets) {
+            // Few qubits give long 1q runs, many give short ones.
+            const ir::Circuit c = testutil::randomNativeCircuit(
+                set, 2 + round % 5, 8 + 5 * (round % 8), rng);
+            const ir::Circuit out = transpile::fuseOneQubitRuns(c, set);
+            EXPECT_LE(out.size(), c.size()) << ir::gateSetName(set);
+            if (round < 5) {
+                EXPECT_LT(sim::circuitDistance(c, out), kExact)
+                    << ir::gateSetName(set);
+            }
+            EXPECT_TRUE(checkAgreesWithRebuild(c, set));
+            // A fused circuit mostly has nothing left to fuse.
+            EXPECT_TRUE(checkAgreesWithRebuild(out, set));
+            for (const ir::Circuit *x : {&c, &out})
+                ++(transpile::fusionShrinks(*x, set) ? shrinking : stable);
+        }
+    }
+    EXPECT_GT(shrinking, 0);
+    EXPECT_GT(stable, 0);
+
+    // Boundary inputs, each a run on qubit 0 next to a CX.
+    auto run = [](std::vector<ir::Gate> gates) {
+        ir::Circuit c(2);
+        c.cx(0, 1);
+        for (ir::Gate &g : gates)
+            c.add(std::move(g));
+        c.cx(0, 1);
+        return c;
+    };
+    for (ir::GateSetKind set : kContinuousSets) {
+        const ir::GateKind phase = phaseKind(set);
+        // Runs whose product is a fixed native gate (or the identity).
+        std::vector<std::vector<ir::Gate>> cases = {
+            {{phase, {0}, {M_PI / 2}}, {phase, {0}, {M_PI / 2}}}, // s.s
+        };
+        if (set == ir::GateSetKind::Nam)
+            cases.push_back({{ir::GateKind::H, {0}}, {ir::GateKind::H, {0}}});
+        if (set == ir::GateSetKind::IbmEagle)
+            cases.push_back(
+                {{ir::GateKind::SX, {0}}, {ir::GateKind::SX, {0}}});
+        // Phase pairs summing to 0 or 2π, and just off, by 1e-13.
+        for (double total : {0.0, 2 * M_PI})
+            for (double off : {-1e-13, 0.0, 1e-13})
+                cases.push_back({{phase, {0}, {0.7}},
+                                 {phase, {0}, {total - 0.7 + off}}});
+        // Single-gate runs only: nothing to fuse.
+        cases.push_back({{phase, {0}, {0.3}}});
+        for (const std::vector<ir::Gate> &gates : cases)
+            EXPECT_TRUE(checkAgreesWithRebuild(run(gates), set));
+        EXPECT_FALSE(transpile::fusionShrinks(
+            run({{phase, {0}, {0.3}}}), set));
     }
 }
 

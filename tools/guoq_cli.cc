@@ -642,6 +642,10 @@ runSingle(const CliOptions &opt)
                      "%ld resynthesis accepts, %.2fs wall\n",
                      result.stats.iterations, result.stats.accepted,
                      result.stats.resynthAccepted, result.stats.seconds);
+        std::fprintf(stderr,
+                     "guoq_cli: fast paths: %ld rule no-ops from the memo, "
+                     "%ld fusion rebuilds\n",
+                     result.stats.memoNoops, result.stats.fusionBuilds);
         if (!opt.synthCacheDir.empty() || opt.synthWorkers > 0)
             std::fprintf(stderr,
                          "guoq_cli: synthesis cache: %ld hit(s), %ld "
