@@ -106,9 +106,9 @@ BM_InstantiateGradient(benchmark::State &state)
     const auto target = sim::circuitUnitary(t);
     std::vector<double> x(static_cast<std::size_t>(a.numParams()), 0.3);
     std::vector<double> grad;
+    synth::HsObjective objective(a, target);
     for (auto _ : state)
-        benchmark::DoNotOptimize(
-            synth::hsCostAndGrad(a, target, x, &grad));
+        benchmark::DoNotOptimize(objective(x, &grad));
 }
 BENCHMARK(BM_InstantiateGradient);
 

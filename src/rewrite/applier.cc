@@ -22,6 +22,10 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
 
     Matcher matcher(c);
     std::vector<bool> used(n, false);
+    // Wire neighbours of used gates: a later match may not touch an
+    // earlier one, or their replacement blocks, each spliced at a
+    // window computed on the original circuit, could land out of order.
+    std::vector<bool> neighbour(n, false);
     // insertPos -> replacement gate lists to emit at that position.
     std::multimap<std::size_t, std::vector<ir::Gate>> insertions;
 
@@ -34,15 +38,22 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
             continue;
         bool overlap = false;
         for (std::size_t gi : m->gateIndices) {
-            if (used[gi]) {
+            if (used[gi] || neighbour[gi]) {
                 overlap = true;
                 break;
             }
         }
         if (overlap)
             continue;
-        for (std::size_t gi : m->gateIndices)
+        for (std::size_t gi : m->gateIndices) {
             used[gi] = true;
+            for (int q : c.gate(gi).qubits) {
+                for (std::size_t nb : {matcher.dag().prev(gi, q),
+                                       matcher.dag().next(gi, q)})
+                    if (nb != dag::kNoGate)
+                        neighbour[nb] = true;
+            }
+        }
         insertions.emplace(m->insertPos,
                            rule.instantiateReplacement(m->qubitBinding,
                                                        m->angleBinding));

@@ -2,8 +2,9 @@
  * @file
  * Rule application strategies (paper §5.3, "Randomly selecting
  * subcircuits"): a rewrite transformation performs one full pass over
- * the circuit starting from a random anchor, replacing every disjoint
- * match of the rule.
+ * the circuit starting from a random anchor, replacing every match of
+ * the rule that is disjoint from, and not wire-adjacent to, the
+ * matches before it.
  *
  * applyRulePass / applyRulePassRandom are the *legacy* copy-everything
  * implementation, kept as the reference the incremental
@@ -34,7 +35,8 @@ struct PassResult
 /**
  * One full pass of @p rule over @p c: anchors are visited starting at
  * @p start_anchor and wrapping around; every match whose gates are
- * still unused is applied. Greedy and deterministic given the anchor.
+ * neither used by nor wire neighbours of an earlier match is applied.
+ * Greedy and deterministic given the anchor.
  */
 PassResult applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
                          std::size_t start_anchor);

@@ -99,9 +99,14 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         auto m = matchAt(circuit_, dag_, rule, anchor, scratch_);
         if (!m)
             continue;
+        // A match may neither share a gate with an earlier match of
+        // this pass nor touch one along a wire: every splice window is
+        // computed against the original circuit, and two adjacent
+        // matches' replacement blocks could be emitted out of order.
         bool overlap = false;
         for (std::size_t gi : m->gateIndices) {
-            if (usedStamp_[gi] == passEpoch_) {
+            if (usedStamp_[gi] == passEpoch_ ||
+                nbrStamp_[gi] == passEpoch_) {
                 overlap = true;
                 break;
             }
@@ -116,6 +121,11 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         for (std::size_t gi : pm.gateIndices) {
             usedStamp_[gi] = passEpoch_;
             const ir::Gate &g = circuit_.gate(gi);
+            for (int q : g.qubits) {
+                for (std::size_t nb : {dag_.prev(gi, q), dag_.next(gi, q)})
+                    if (nb != dag::kNoGate)
+                        nbrStamp_[nb] = passEpoch_;
+            }
             --pendingCounts_.gates;
             if (g.arity() == 2)
                 --pendingCounts_.twoQubit;
@@ -404,6 +414,7 @@ RewriteEngine::reindex()
     for (std::size_t i = 0; i < gates.size(); ++i)
         buckets_[static_cast<std::size_t>(gates[i].kind)].push_back(i);
     usedStamp_.resize(gates.size(), 0);
+    nbrStamp_.resize(gates.size(), 0);
 }
 
 void

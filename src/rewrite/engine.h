@@ -112,7 +112,8 @@ class RewriteEngine
 
     /**
      * Run one full rule pass from @p start_anchor in the legacy cyclic
-     * anchor order, recording every non-overlapping match, without
+     * anchor order, recording every match that neither overlaps nor
+     * touches along a wire an earlier one of the pass, without
      * touching the working circuit. Returns std::nullopt (and leaves
      * nothing pending) when no match fires; for a rule the no-op memo
      * holds as empty, that answer costs only the anchors near gates
@@ -206,7 +207,9 @@ class RewriteEngine
     MatchScratch scratch_;
 
     // Pending pass state. usedStamp_[i] == passEpoch_ marks gate i as
-    // consumed by the pending (or most recent) pass.
+    // consumed by the pending (or most recent) pass; nbrStamp_[i] ==
+    // passEpoch_ marks it as a wire neighbour of a consumed gate, which
+    // no later match of the pass may use.
     struct PendingMatch
     {
         std::size_t insertPos = 0;
@@ -215,6 +218,7 @@ class RewriteEngine
     };
     std::vector<PendingMatch> pendingMatches_;
     std::vector<std::uint64_t> usedStamp_;
+    std::vector<std::uint64_t> nbrStamp_;
     std::uint64_t passEpoch_ = 0;
     ir::CircuitCounts pendingCounts_;
     double pendingFidLogCost_ = 0;

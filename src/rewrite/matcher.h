@@ -97,6 +97,7 @@ class Matcher
                                  std::size_t anchor) const;
 
     const ir::Circuit &circuit() const { return circuit_; }
+    const dag::CircuitDag &dag() const { return dag_; }
 
   private:
     const ir::Circuit &circuit_;

@@ -2,14 +2,120 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "sim/unitary_sim.h"
 #include "synth/instantiate.h"
+#include "tests/hs_oracle.h"
 #include "tests/test_util.h"
+
+// Every global operator new in this binary is counted, so a test can
+// assert that a code path allocates nothing. The replacements stay out
+// of line: inlined, GCC would pair malloc()/free() with the new/delete
+// at each call site and reject the build (-Wmismatched-new-delete).
+namespace {
+std::atomic<long> g_allocations{0};
+} // namespace
+
+__attribute__((noinline)) void *
+operator new(std::size_t n)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace guoq {
 namespace {
+
+/** A random 2^n x 2^n target: a native circuit's unitary. */
+linalg::ComplexMatrix
+randomTarget(int num_qubits, support::Rng &rng)
+{
+    return sim::circuitUnitary(testutil::randomNativeCircuit(
+        ir::GateSetKind::IbmEagle, num_qubits, 6 * num_qubits, rng));
+}
+
+/**
+ * A QSearch-shaped ansatz on @p num_qubits: the initial 1q layer plus
+ * @p blocks entangler blocks on random ordered pairs.
+ */
+synth::Ansatz
+randomAnsatz(int num_qubits, int blocks, bool use_rxx, support::Rng &rng)
+{
+    synth::Ansatz a = synth::initialAnsatz(num_qubits);
+    for (int b = 0; b < blocks && num_qubits > 1; ++b) {
+        const auto n = static_cast<std::size_t>(num_qubits);
+        const int qa = static_cast<int>(rng.index(n));
+        int qb = qa;
+        while (qb == qa)
+            qb = static_cast<int>(rng.index(n));
+        synth::appendEntanglerBlock(&a, qa, qb, use_rxx);
+    }
+    return a;
+}
+
+/**
+ * @p a with about a third of its free slots frozen at random angles
+ * (the shape qsearch's angle simplification instantiates).
+ */
+synth::Ansatz
+freezeSome(const synth::Ansatz &a, support::Rng &rng)
+{
+    synth::Ansatz out(a.numQubits());
+    for (const synth::AnsatzGate &g : a.gates()) {
+        if (g.paramIndex >= 0 && rng.chance(0.35))
+            out.addFixed(g.kind, g.qubits, rng.uniform(-M_PI, M_PI));
+        else if (g.paramIndex >= 0)
+            out.addParameterized(g.kind, g.qubits);
+        else
+            out.addFixed(g.kind, g.qubits, g.fixedParam);
+    }
+    return out;
+}
+
+std::vector<double>
+randomParams(const synth::Ansatz &a, support::Rng &rng)
+{
+    std::vector<double> x(static_cast<std::size_t>(a.numParams()));
+    for (double &xi : x)
+        xi = rng.uniform(-M_PI, M_PI);
+    return x;
+}
+
+/** Max |Δ| over the cost and every gradient entry vs the oracle. */
+double
+maxDiffVsOracle(const synth::Ansatz &a, const linalg::ComplexMatrix &target,
+                const std::vector<double> &x)
+{
+    std::vector<double> want, got;
+    const double want_cost = oracle::hsCostAndGrad(a, target, x, &want);
+    synth::HsObjective objective(a, target);
+    const double got_cost = objective(x, &got);
+    EXPECT_EQ(got.size(), want.size());
+    double diff = std::abs(got_cost - want_cost);
+    // The cost-only call must agree with the cost of the full one.
+    diff = std::max(diff, std::abs(objective(x, nullptr) - want_cost));
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+        diff = std::max(diff, std::abs(got[i] - want[i]));
+    return diff;
+}
 
 TEST(Ansatz, InitialAnsatzShape)
 {
@@ -51,31 +157,110 @@ class GradientCheck : public ::testing::TestWithParam<int>
 
 TEST_P(GradientCheck, AnalyticMatchesNumeric)
 {
+    // Params 0-7 on 2 qubits, 8-15 on 3; odd params use Rxx.
     support::Rng rng(static_cast<std::uint64_t>(GetParam()) * 311 + 7);
-    synth::Ansatz a = synth::initialAnsatz(2);
-    synth::appendEntanglerBlock(&a, 0, 1, GetParam() % 2 == 1);
+    const int nq = GetParam() < 8 ? 2 : 3;
+    synth::Ansatz a = synth::initialAnsatz(nq);
+    for (int q = 0; q + 1 < nq; ++q)
+        synth::appendEntanglerBlock(&a, q, q + 1, GetParam() % 2 == 1);
 
-    const ir::Circuit target_circuit = testutil::randomNativeCircuit(
-        ir::GateSetKind::IbmEagle, 2, 8, rng);
-    const linalg::ComplexMatrix target =
-        sim::circuitUnitary(target_circuit);
+    const linalg::ComplexMatrix target = randomTarget(nq, rng);
 
     std::vector<double> x(static_cast<std::size_t>(a.numParams()));
     for (double &xi : x)
         xi = rng.uniform(-2, 2);
+    synth::HsObjective objective(a, target);
     std::vector<double> grad;
-    const double f0 = synth::hsCostAndGrad(a, target, x, &grad);
+    const double f0 = objective(x, &grad);
 
     const double h = 1e-6;
     for (std::size_t k = 0; k < x.size(); k += 3) {
         std::vector<double> xp = x;
         xp[k] += h;
-        const double fp = synth::hsCostAndGrad(a, target, xp, nullptr);
+        const double fp = objective(xp, nullptr);
         EXPECT_NEAR((fp - f0) / h, grad[k], 1e-4) << "param " << k;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, GradientCheck, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Sweep, GradientCheck, ::testing::Range(0, 16));
+
+TEST(HsObjective, MatchesOracleOnRandomAnsaetze)
+{
+    // 1-4 qubits, CX and Rxx entanglers, all-free and partly frozen
+    // slots: cost and every gradient entry within 1e-12.
+    support::Rng rng(2024);
+    for (int nq = 1; nq <= 4; ++nq) {
+        for (int rxx = 0; rxx < 2; ++rxx) {
+            for (int trial = 0; trial < 4; ++trial) {
+                const int blocks = nq == 1 ? 0 : 1 + trial;
+                const synth::Ansatz base =
+                    randomAnsatz(nq, blocks, rxx == 1, rng);
+                const linalg::ComplexMatrix target = randomTarget(nq, rng);
+                for (const synth::Ansatz &a : {base, freezeSome(base, rng)}) {
+                    const std::vector<double> x = randomParams(a, rng);
+                    EXPECT_LE(maxDiffVsOracle(a, target, x), 1e-12)
+                        << nq << " qubits, rxx " << rxx << ", trial "
+                        << trial << ", " << a.numParams() << " params";
+                }
+            }
+        }
+    }
+}
+
+TEST(HsObjective, MatchesOracleOnRxAndFixedOneQubitKinds)
+{
+    // Slots the QSearch templates do not emit but an Ansatz admits.
+    support::Rng rng(77);
+    synth::Ansatz a(2);
+    a.addFixed(ir::GateKind::H, {0});
+    a.addParameterized(ir::GateKind::Rx, {1});
+    a.addFixed(ir::GateKind::CX, {1, 0});
+    a.addFixed(ir::GateKind::T, {1});
+    a.addFixed(ir::GateKind::Rx, {0}, 0.4);
+    a.addParameterized(ir::GateKind::Rz, {0});
+    a.addFixed(ir::GateKind::U1, {1}, -0.9);
+    a.addParameterized(ir::GateKind::Rxx, {1, 0});
+    a.addParameterized(ir::GateKind::Ry, {1});
+    const linalg::ComplexMatrix target = randomTarget(2, rng);
+    for (int trial = 0; trial < 4; ++trial)
+        EXPECT_LE(maxDiffVsOracle(a, target, randomParams(a, rng)), 1e-12);
+}
+
+TEST(HsObjective, EmptyAnsatzIsTheIdentity)
+{
+    const synth::Ansatz a(2);
+    synth::HsObjective objective(a, linalg::ComplexMatrix::identity(4));
+    std::vector<double> grad{1.0};
+    EXPECT_NEAR(objective({}, &grad), 0.0, 1e-15);
+    EXPECT_TRUE(grad.empty());
+}
+
+TEST(HsObjective, WarmEvaluationDoesNotAllocate)
+{
+    support::Rng rng(11);
+    const synth::Ansatz a = randomAnsatz(3, 6, false, rng);
+    const linalg::ComplexMatrix target = randomTarget(3, rng);
+    synth::HsObjective objective(a, target);
+    std::vector<double> x = randomParams(a, rng);
+    std::vector<double> grad;
+    objective(x, &grad); // warm: grad takes its capacity here
+
+    // The counter is live in this binary (a direct call, which unlike a
+    // new-expression may not be elided).
+    const long probe = g_allocations.load();
+    ::operator delete(::operator new(16));
+    ASSERT_GT(g_allocations.load(), probe);
+
+    const long before = g_allocations.load();
+    double sink = 0;
+    for (int i = 0; i < 20; ++i) {
+        x[static_cast<std::size_t>(i) % x.size()] += 0.1;
+        sink += objective(x, &grad);
+        sink += objective(x, nullptr);
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0);
+    EXPECT_TRUE(std::isfinite(sink));
+}
 
 TEST(Instantiate, FitsSingleQubitTarget)
 {
