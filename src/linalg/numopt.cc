@@ -6,176 +6,219 @@
 namespace guoq {
 namespace linalg {
 
+namespace {
+
+constexpr std::size_t kMemory = 8;  //!< (s, y) pairs kept
+constexpr double kArmijoC1 = 1e-4;  //!< sufficient-decrease constant
+constexpr int kMaxLineTrials = 30;  //!< step halvings per line search
+constexpr int kStallIters = 20;     //!< iterations without improvement
+
+double
+dot(const std::vector<double> &a, const std::vector<double> &b)
+{
+    double s = 0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        s += a[i] * b[i];
+    return s;
+}
+
+/** d = -γ₀·g, γ₀ = min(1, 0.1/‖g‖∞): no coordinate moves over 0.1. */
+void
+steepestDirection(const std::vector<double> &g, std::vector<double> &d)
+{
+    double gmax = 0;
+    for (double gi : g)
+        gmax = std::max(gmax, std::abs(gi));
+    const double gamma = gmax > 0 ? std::min(1.0, 0.1 / gmax) : 1.0;
+    for (std::size_t i = 0; i < g.size(); ++i)
+        d[i] = -gamma * g[i];
+}
+
+/**
+ * The limited-memory pairs as a ring: pair k (0 = oldest) lives at
+ * slot (head + k) % kMemory of the flat s/y arrays.
+ */
+class LbfgsMemory
+{
+  public:
+    explicit LbfgsMemory(std::size_t n)
+        : n_(n), s_(kMemory * n), y_(kMemory * n)
+    {
+    }
+
+    bool empty() const { return count_ == 0; }
+    void clear() { count_ = 0; }
+
+    /** Store s = x1 - x0, y = g1 - g0 when sᵀy > 0. */
+    void
+    push(const std::vector<double> &x0, const std::vector<double> &x1,
+         const std::vector<double> &g0, const std::vector<double> &g1)
+    {
+        double sy = 0, yy = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            const double yi = g1[i] - g0[i];
+            sy += (x1[i] - x0[i]) * yi;
+            yy += yi * yi;
+        }
+        if (!(sy > 0) || !std::isfinite(yy))
+            return;
+        // When full, the next slot holds the oldest pair: overwrite it.
+        const std::size_t slot = (head_ + count_) % kMemory;
+        for (std::size_t i = 0; i < n_; ++i) {
+            s_[slot * n_ + i] = x1[i] - x0[i];
+            y_[slot * n_ + i] = g1[i] - g0[i];
+        }
+        rho_[slot] = 1.0 / sy;
+        gamma_ = sy / yy;
+        if (count_ < kMemory)
+            ++count_;
+        else
+            head_ = (head_ + 1) % kMemory;
+    }
+
+    /** d = -H·g by the two-loop recursion (memory non-empty). */
+    void
+    direction(const std::vector<double> &g, std::vector<double> &d)
+    {
+        d = g;
+        for (std::size_t k = count_; k-- > 0;) {
+            const std::size_t slot = (head_ + k) % kMemory;
+            const double *s = &s_[slot * n_];
+            const double *y = &y_[slot * n_];
+            double a = 0;
+            for (std::size_t i = 0; i < n_; ++i)
+                a += s[i] * d[i];
+            a *= rho_[slot];
+            alpha_[slot] = a;
+            for (std::size_t i = 0; i < n_; ++i)
+                d[i] -= a * y[i];
+        }
+        for (double &di : d)
+            di *= gamma_;
+        for (std::size_t k = 0; k < count_; ++k) {
+            const std::size_t slot = (head_ + k) % kMemory;
+            const double *s = &s_[slot * n_];
+            const double *y = &y_[slot * n_];
+            double b = 0;
+            for (std::size_t i = 0; i < n_; ++i)
+                b += y[i] * d[i];
+            b *= rho_[slot];
+            for (std::size_t i = 0; i < n_; ++i)
+                d[i] += (alpha_[slot] - b) * s[i];
+        }
+        for (double &di : d)
+            di = -di;
+    }
+
+  private:
+    std::size_t n_;
+    std::vector<double> s_, y_;
+    double rho_[kMemory] = {};
+    double alpha_[kMemory] = {};
+    double gamma_ = 1;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
+
+} // namespace
+
 MinimizeResult
-minimizeAdam(const GradFn &f, std::vector<double> x0,
-             const MinimizeOptions &opts)
+minimizeLbfgs(const GradFn &f, std::vector<double> x0,
+              const MinimizeOptions &opts)
 {
     const std::size_t n = x0.size();
-    std::vector<double> g(n), m(n, 0.0), v(n, 0.0);
+    std::vector<double> g(n);
+    double fx = f(x0, &g);
     MinimizeResult best;
     best.x = x0;
-    best.value = f(x0, nullptr);
+    best.value = fx;
+    if (n == 0 || fx <= opts.tolerance) {
+        best.converged = fx <= opts.tolerance;
+        return best;
+    }
 
     std::vector<double> x = std::move(x0);
-    const double b1 = 0.9, b2 = 0.999, epsn = 1e-8;
-    double b1t = 1.0, b2t = 1.0;
-    int flat = 0;
-    double prev = best.value;
-    // Stall detection: bail when the best value stops improving
-    // meaningfully so multi-start can try a fresh initialization.
-    double stall_ref = best.value;
+    std::vector<double> d(n), xt(n), gt(n);
+    LbfgsMemory memory(n);
+    double stall_ref = fx;
     int stall = 0;
 
     for (int it = 0; it < opts.maxIters; ++it) {
-        if ((it & 31) == 0 && opts.deadline.expired())
+        if (opts.deadline.expired())
             break;
-        const double fx = f(x, &g);
-        if (fx < best.value) {
-            best.value = fx;
-            best.x = x;
-        }
         best.iterations = it + 1;
-        if (fx <= opts.tolerance) {
-            best.converged = true;
-            break;
+
+        const bool from_memory = !memory.empty();
+        if (from_memory)
+            memory.direction(g, d);
+        else
+            steepestDirection(g, d);
+        double slope = dot(g, d);
+        if (from_memory && !(slope < 0)) {
+            memory.clear();
+            steepestDirection(g, d);
+            slope = dot(g, d);
         }
+        if (!(slope < 0))
+            break; // stationary (or a non-finite gradient)
+
+        // Backtracking Armijo search along d; a trial at or under the
+        // tolerance is taken as it is.
+        double step = 1.0;
+        double ft = fx;
+        bool accepted = false;
+        for (int trial = 0; trial < kMaxLineTrials; ++trial) {
+            for (std::size_t i = 0; i < n; ++i)
+                xt[i] = x[i] + step * d[i];
+            ft = f(xt, &gt);
+            if (ft < best.value) {
+                best.value = ft;
+                best.x = xt;
+            }
+            if (ft <= fx + kArmijoC1 * step * slope ||
+                ft <= opts.tolerance) {
+                accepted = true;
+                break;
+            }
+            step *= 0.5;
+        }
+        if (!accepted) {
+            if (!from_memory)
+                break; // no decrease even along -g
+            memory.clear(); // retry this point along -g
+            continue;
+        }
+
+        memory.push(x, xt, g, gt);
+        x.swap(xt);
+        g.swap(gt);
+        fx = ft;
+        if (best.value <= opts.tolerance)
+            break;
         if (best.value < stall_ref * (1.0 - 1e-3) ||
             best.value < stall_ref - 1e-9) {
             stall_ref = best.value;
             stall = 0;
-        } else if (++stall > 140) {
+        } else if (++stall >= kStallIters) {
             break;
         }
-        if (std::abs(prev - fx) < 1e-14 * std::max(1.0, std::abs(fx))) {
-            if (++flat > 40)
-                break;
-        } else {
-            flat = 0;
-        }
-        prev = fx;
-
-        b1t *= b1;
-        b2t *= b2;
-        for (std::size_t i = 0; i < n; ++i) {
-            m[i] = b1 * m[i] + (1 - b1) * g[i];
-            v[i] = b2 * v[i] + (1 - b2) * g[i] * g[i];
-            const double mh = m[i] / (1 - b1t);
-            const double vh = v[i] / (1 - b2t);
-            x[i] -= opts.learningRate * mh / (std::sqrt(vh) + epsn);
-        }
     }
-    if (best.value <= opts.tolerance)
-        best.converged = true;
+    best.converged = best.value <= opts.tolerance;
     return best;
-}
-
-MinimizeResult
-minimizeNelderMead(const std::function<double(const std::vector<double> &)> &f,
-                   std::vector<double> x0, const MinimizeOptions &opts)
-{
-    const std::size_t n = x0.size();
-    MinimizeResult res;
-    if (n == 0) {
-        res.x = x0;
-        res.value = f(x0);
-        res.converged = res.value <= opts.tolerance;
-        return res;
-    }
-
-    // Initial simplex: x0 plus axis-aligned perturbations.
-    std::vector<std::vector<double>> pts(n + 1, x0);
-    std::vector<double> vals(n + 1);
-    for (std::size_t i = 0; i < n; ++i)
-        pts[i + 1][i] += 0.25;
-    for (std::size_t i = 0; i <= n; ++i)
-        vals[i] = f(pts[i]);
-
-    const double alpha = 1.0, gamma = 2.0, rho = 0.5, sigma = 0.5;
-    for (int it = 0; it < opts.maxIters; ++it) {
-        if ((it & 15) == 0 && opts.deadline.expired())
-            break;
-        // Order simplex by value.
-        std::vector<std::size_t> order(n + 1);
-        for (std::size_t i = 0; i <= n; ++i)
-            order[i] = i;
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return vals[a] < vals[b];
-                  });
-        res.iterations = it + 1;
-        if (vals[order[0]] <= opts.tolerance)
-            break;
-
-        // Centroid of all but worst.
-        std::vector<double> cen(n, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t d = 0; d < n; ++d)
-                cen[d] += pts[order[i]][d] / static_cast<double>(n);
-        const std::size_t worst = order[n];
-
-        auto blend = [&](double t) {
-            std::vector<double> p(n);
-            for (std::size_t d = 0; d < n; ++d)
-                p[d] = cen[d] + t * (cen[d] - pts[worst][d]);
-            return p;
-        };
-
-        const auto refl = blend(alpha);
-        const double frefl = f(refl);
-        if (frefl < vals[order[0]]) {
-            const auto expd = blend(gamma);
-            const double fexpd = f(expd);
-            if (fexpd < frefl) {
-                pts[worst] = expd;
-                vals[worst] = fexpd;
-            } else {
-                pts[worst] = refl;
-                vals[worst] = frefl;
-            }
-        } else if (frefl < vals[order[n - 1]]) {
-            pts[worst] = refl;
-            vals[worst] = frefl;
-        } else {
-            const auto con = blend(-rho);
-            const double fcon = f(con);
-            if (fcon < vals[worst]) {
-                pts[worst] = con;
-                vals[worst] = fcon;
-            } else {
-                // Shrink toward the best point.
-                for (std::size_t i = 1; i <= n; ++i) {
-                    const std::size_t idx = order[i];
-                    for (std::size_t d = 0; d < n; ++d)
-                        pts[idx][d] = pts[order[0]][d] +
-                            sigma * (pts[idx][d] - pts[order[0]][d]);
-                    vals[idx] = f(pts[idx]);
-                }
-            }
-        }
-    }
-
-    std::size_t bi = 0;
-    for (std::size_t i = 1; i <= n; ++i)
-        if (vals[i] < vals[bi])
-            bi = i;
-    res.x = pts[bi];
-    res.value = vals[bi];
-    res.converged = res.value <= opts.tolerance;
-    return res;
 }
 
 MinimizeResult
 minimizeMultiStart(const GradFn &f, std::vector<double> x0, int starts,
                    support::Rng &rng, const MinimizeOptions &opts)
 {
-    MinimizeResult best = minimizeAdam(f, x0, opts);
+    MinimizeResult best = minimizeLbfgs(f, x0, opts);
     for (int s = 1; s < starts && !best.converged; ++s) {
         if (opts.deadline.expired())
             break;
         std::vector<double> x(x0.size());
         for (auto &xi : x)
             xi = rng.uniform(-3.14159265358979323846, 3.14159265358979323846);
-        MinimizeResult r = minimizeAdam(f, std::move(x), opts);
+        MinimizeResult r = minimizeLbfgs(f, std::move(x), opts);
         if (r.value < best.value)
             best = std::move(r);
     }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Specialized statevector gate kernels — the hot inner loops behind
- * sim::StateVector (sampling verification, numopt instantiation, the
- * fidelity objective) and the row operations of sim::applyGate.
+ * sim::StateVector (sampling verification) and the row operations of
+ * sim::applyGate. Instantiation does not run on them:
+ * synth::HsObjective has its own fixed-dimension sweeps.
  *
  * Every kernel operates in place on a contiguous, index-aligned chunk
  * `amps[0..n)` of a 2^k statevector: n is a power of two, the chunk's

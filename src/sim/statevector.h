@@ -2,8 +2,7 @@
  * @file
  * Statevector simulation — cheaper than the full unitary (O(2^n) per
  * gate) and the hot inner loop of sampling verification
- * (verify/sampling.cc), numopt instantiation, and the fidelity
- * objective, usable up to ~24 qubits.
+ * (verify/sampling.cc), usable up to ~24 qubits.
  *
  * Gate application runs through the specialized kernels of
  * sim/kernels.h: per-gate dispatch picks a diagonal, permutation,

@@ -108,7 +108,12 @@ class SynthCache
     /** Atomically (temp file + rename) write all entries to @p path. */
     bool save(const std::string &path, std::string *err = nullptr) const;
 
-    static constexpr const char *kFileMagic = "guoq-synth-cache-v1";
+    /**
+     * v2: written by the L-BFGS instantiation. A v1 file (the Adam
+     * synthesizer's) is ignored, so its cached failures are not
+     * replayed against a fitter that solves many of those blocks.
+     */
+    static constexpr const char *kFileMagic = "guoq-synth-cache-v2";
     static constexpr std::size_t kDefaultShards = 16;
 
   private:

@@ -340,6 +340,19 @@ HsObjective::operator()(const std::vector<double> &params,
     return cost;
 }
 
+linalg::MinimizeOptions
+instantiateOptions(double eps, const support::Deadline &deadline)
+{
+    const double eps_eff = eps > 0 ? eps : 1e-7;
+    linalg::MinimizeOptions opts;
+    opts.maxIters = 600;
+    // Aim 4x under the threshold so measured distances land with
+    // margin to spare after native re-expression noise.
+    opts.tolerance = linalg::hsCostThresholdForDistance(eps_eff) * 0.25;
+    opts.deadline = deadline;
+    return opts;
+}
+
 InstantiateResult
 instantiate(const Ansatz &ansatz, const ComplexMatrix &target, double eps,
             int restarts, support::Rng &rng,
@@ -347,22 +360,12 @@ instantiate(const Ansatz &ansatz, const ComplexMatrix &target, double eps,
             const std::vector<double> *hint)
 {
     const double eps_eff = eps > 0 ? eps : 1e-7;
-    // Aim 4x under the threshold so measured distances land with
-    // margin to spare after native re-expression noise.
-    const double cost_threshold =
-        linalg::hsCostThresholdForDistance(eps_eff) * 0.25;
-
     HsObjective objective(ansatz, target);
     linalg::GradFn fn = [&objective](const std::vector<double> &x,
                                      std::vector<double> *g) {
         return objective(x, g);
     };
-
-    linalg::MinimizeOptions opts;
-    opts.maxIters = 600;
-    opts.tolerance = cost_threshold;
-    opts.learningRate = 0.1;
-    opts.deadline = deadline;
+    const linalg::MinimizeOptions opts = instantiateOptions(eps, deadline);
 
     // First start: the warm-start hint when given (tail randomized),
     // otherwise fully random — the all-zero (identity) point is a

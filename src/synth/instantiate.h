@@ -5,7 +5,7 @@
  * gradients (the BQSKit-style inner loop of circuit synthesis).
  *
  * The cost and gradient come from an HsObjective built once per
- * instantiate() call and reused by every Adam step and restart. It
+ * instantiate() call and reused by every evaluation of every start. It
  * holds U†, a table of bound slot matrices (refilled from the angles,
  * without building ir::Gate values) and one workspace for the m
  * prefix matrices P_k = F_k ... F_0 and the backward matrix
@@ -116,14 +116,24 @@ struct InstantiateResult
 };
 
 /**
+ * The minimizer options instantiate() runs with for threshold @p eps
+ * (see instantiate()): a 600-iteration cap per start, and a cost
+ * tolerance 4x under the cost that Hilbert–Schmidt distance eps maps
+ * to, so measured distances keep a margin after native re-expression.
+ */
+linalg::MinimizeOptions instantiateOptions(double eps,
+                                           const support::Deadline &deadline);
+
+/**
  * Fit @p ansatz to @p target so that the Hilbert–Schmidt distance is
- * at most @p eps (Def. 3.2); multi-start Adam with analytic gradients.
+ * at most @p eps (Def. 3.2): multi-start L-BFGS
+ * (linalg::minimizeMultiStart) over an HsObjective.
  *
  * @param target   the 2^n x 2^n target unitary.
  * @param eps      distance threshold defining success; eps = 0 is
  *                 interpreted as numerically-exact (1e-7, the metric's
  *                 resolution at machine precision).
- * @param restarts total Adam starts (the first uses @p hint when given).
+ * @param restarts total starts (the first uses @p hint when given).
  * @param hint     warm-start parameters, e.g. the parent structure's
  *                 fit in QSearch; may be shorter than numParams() (the
  *                 tail is randomized).

@@ -264,6 +264,30 @@ TEST(SynthCachePersist, IgnoresVersionMismatch)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(SynthCachePersist, IgnoresAdamEraV1File)
+{
+    // Two well-formed records (a cached failure and a one-gate hit).
+    // Under the current magic they load; under v1, written before
+    // instantiation moved to L-BFGS, none may replay as a hit.
+    const std::string body = "entry 1 nam 0 2 3 10 24 0 1 0\n"
+                             "entry 2 nam 0 2 3 10 24 1 0 1\n"
+                             "gate cx 0 1\n";
+    for (const std::string &magic :
+         {std::string(synth::SynthCache::kFileMagic),
+          std::string("guoq-synth-cache-v1")}) {
+        const std::string path = tempCachePath("synth_cache_v1.txt");
+        std::ofstream out(path, std::ios::trunc);
+        out << magic << "\n" << body;
+        out.close();
+
+        synth::SynthCache loaded;
+        std::string err;
+        const bool current = magic == synth::SynthCache::kFileMagic;
+        EXPECT_EQ(loaded.load(path, &err), current) << magic;
+        EXPECT_EQ(loaded.size(), current ? 2u : 0u) << magic << ": " << err;
+    }
+}
+
 TEST(SynthCachePersist, MissingFileLoadsNothing)
 {
     synth::SynthCache loaded;
