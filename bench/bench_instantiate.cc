@@ -461,11 +461,3 @@ const CaseRegistrar kInstantiateConvergence(
     350, runInstantiateConvergence);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

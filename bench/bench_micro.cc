@@ -1,7 +1,7 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the substrates every search
- * iteration leans on: unitary simulation, the matcher/applier, convex
+ * iteration leans on: unitary simulation, the rewrite engine, convex
  * subcircuit ops, distance evaluation, and instantiation gradients.
  */
 
@@ -10,7 +10,7 @@
 #include "dag/circuit_dag.h"
 #include "dag/subcircuit.h"
 #include "linalg/unitary.h"
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "sim/statevector.h"
 #include "sim/unitary_sim.h"
@@ -63,10 +63,13 @@ BM_RulePass(benchmark::State &state)
     const ir::Circuit c = benchCircuit(static_cast<int>(state.range(0)));
     const auto &rules = rewrite::rulesFor(ir::GateSetKind::Nam);
     support::Rng rng(1);
+    rewrite::RewriteEngine engine{ir::Circuit(c)};
     for (auto _ : state) {
         const auto &rule = rules[rng.index(rules.size())];
-        benchmark::DoNotOptimize(
-            rewrite::applyRulePassRandom(c, rule, rng));
+        auto att = engine.preparePassRandom(rule, rng);
+        benchmark::DoNotOptimize(att);
+        if (att)
+            engine.discard();
     }
 }
 BENCHMARK(BM_RulePass)->Arg(5)->Arg(8)->Arg(10);

@@ -2,8 +2,9 @@
  * @file
  * Perf trajectory of the rewrite hot path: iterations/sec of a
  * GUOQ-style Metropolis rewrite loop (2q-count objective) under two
- * tools — `legacy` (applyRulePassRandom: fresh Matcher + full-circuit
- * rebuild + full-cost rescan per attempt) and `engine` (the
+ * tools — `legacy` (the copy-everything pass of tests/rule_pass_oracle.h:
+ * fresh wire index + full-circuit rebuild + full-cost rescan per
+ * attempt) and `engine` (the
  * incremental rewrite::RewriteEngine: persistent DAG, kind-indexed
  * anchor buckets, delta-cost counters) — at three circuit sizes, with
  * per-size speedup aggregates. Both tools replay the identical
@@ -30,13 +31,13 @@
 #include "core/cost.h"
 #include "ir/circuit.h"
 #include "ir/gate_set.h"
-#include "rewrite/applier.h"
 #include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/table.h"
 #include "support/timer.h"
+#include "tests/rule_pass_oracle.h"
 
 namespace {
 
@@ -90,7 +91,7 @@ decide(double cost_cand, double cost_curr, support::Rng &rng)
     return rng.chance(p);
 }
 
-/** The pre-engine loop: one full Matcher + rebuild + rescan per try. */
+/** The pre-engine loop: one oracle pass + rebuild + rescan per try. */
 LoopOutcome
 runLegacyLoop(const ir::Circuit &c,
               const std::vector<rewrite::RewriteRule> &rules,
@@ -104,8 +105,7 @@ runLegacyLoop(const ir::Circuit &c,
     double cost_curr = cost(curr);
     for (long i = 0; i < iters; ++i) {
         const rewrite::RewriteRule &rule = rules[rng.index(rules.size())];
-        rewrite::PassResult r =
-            rewrite::applyRulePassRandom(curr, rule, rng);
+        oracle::PassResult r = oracle::applyRulePassRandom(curr, rule, rng);
         if (r.applications == 0)
             continue;
         const double cost_cand = cost(r.circuit);
@@ -277,11 +277,3 @@ const CaseRegistrar kRewriteThroughput(
     330, runRewriteThroughput);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -10,7 +10,7 @@
 
 #include "bench/harness.h"
 #include "bench/registry.h"
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "support/rng.h"
 #include "support/table.h"
@@ -42,12 +42,14 @@ runTable1(CaseContext &ctx)
         support::Rng rng(seed);
 
         // Fast path latency: full rule passes over a 100+ gate
-        // circuit.
+        // circuit, each prepared and dropped as a rejected GUOQ move.
         support::Timer t1;
         const int passes = 5000;
+        rewrite::RewriteEngine engine{ir::Circuit(circuit)};
         for (int i = 0; i < passes; ++i)
-            rewrite::applyRulePassRandom(
-                circuit, rules[rng.index(rules.size())], rng);
+            if (engine.preparePassRandom(rules[rng.index(rules.size())],
+                                         rng))
+                engine.discard();
         const double trial_rewrite_us = t1.seconds() / passes * 1e6;
 
         // Slow path latency: resynthesis of 2- and 3-qubit
@@ -130,11 +132,3 @@ const CaseRegistrar kTable1(
     runTable1);
 
 } // namespace
-
-#ifndef GUOQ_BENCH_NO_MAIN
-int
-main()
-{
-    return guoq::bench::legacyMain();
-}
-#endif

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "dag/subcircuit.h"
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "sim/unitary_sim.h"
 #include "synth/resynth.h"
@@ -33,14 +33,15 @@ main()
     std::printf("trotter ising, 4 qubits x 2 steps on %s: %zu gates\n",
                 ir::gateSetName(set).c_str(), circuit.size());
 
-    // Transformation 1 (ε = 0): one full pass of every library rule.
+    // Transformation 1 (ε = 0): one full pass of every library rule,
+    // each from a random anchor, through the incremental rewrite
+    // engine (a pass is prepared, then committed or discarded).
     support::Rng rng(5);
-    for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set)) {
-        const rewrite::PassResult r =
-            rewrite::applyRulePassRandom(circuit, rule, rng);
-        if (r.applications > 0)
-            circuit = r.circuit;
-    }
+    rewrite::RewriteEngine engine{circuit};
+    for (const rewrite::RewriteRule &rule : rewrite::rulesFor(set))
+        if (engine.preparePassRandom(rule, rng))
+            engine.commit();
+    circuit = engine.release();
     std::printf("after rule passes:        %zu gates (error bound "
                 "%.1e)\n",
                 circuit.size(), error_bound);

@@ -1,6 +1,6 @@
 #include "baselines/passes.h"
 
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "transpile/to_gate_set.h"
 
@@ -57,11 +57,11 @@ commuteAndReduce(const ir::Circuit &c, ir::GateSetKind set, int rounds)
                     ? 0
                     : (static_cast<std::size_t>(round) * 7 + i) %
                           cur.size();
-            const rewrite::PassResult r =
-                rewrite::applyRulePass(cur, commutes[i], anchor);
-            if (r.applications == 0)
+            rewrite::RewriteEngine engine{ir::Circuit(cur)};
+            if (!engine.preparePass(commutes[i], anchor))
                 continue;
-            cur = reduceFixpoint(r.circuit, set);
+            engine.commit();
+            cur = reduceFixpoint(engine.circuit(), set);
             if (cur.gateCount() < best.gateCount())
                 best = cur;
         }

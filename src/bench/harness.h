@@ -282,11 +282,5 @@ struct BenchCase;
 std::vector<CaseResult> runCases(const std::vector<const BenchCase *> &cases,
                                  const RunOptions &opts);
 
-/**
- * Entry point for the legacy per-figure binaries: run every case the
- * binary registered, env-configured, pretty tables to stdout.
- */
-int legacyMain();
-
 } // namespace bench
 } // namespace guoq

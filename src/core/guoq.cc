@@ -242,9 +242,8 @@ optimize(const ir::Circuit &c, ir::GateSetKind set, const GuoqConfig &cfg)
                     std::min(cfg.resynthCallSeconds, deadline.remaining()));
                 if (!call)
                     continue;
-                support::Rng child = rng.fork();
                 auto fut =
-                    svc->submit(std::move(call->block), call->options, child);
+                    svc->submit(std::move(call->block), call->options, rng);
                 if (!fut)
                     continue; // shared pool queue full: drop the call
                 PendingResynth p;

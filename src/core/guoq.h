@@ -71,17 +71,17 @@ struct GuoqConfig
      * Asynchronous resynthesis workers (paper §5.3): with N > 0,
      * rewriting continues while up to N synthesis calls are in
      * flight; interim rewrites are discarded when a resynthesis
-     * result is accepted. 0 keeps resynthesis synchronous (the
-     * legacy `asyncResynthesis = false`; 1 matches `= true`).
+     * result is accepted. 0 keeps resynthesis synchronous. The
+     * calls run on the service's worker pool (see synthService).
      */
     int synthWorkers = 0;
 
     /**
      * Synthesis service (cache + shared pool) every resynthesis call
      * routes through; null selects synth::SynthService::global().
-     * With the service's cache disabled the run is bit-for-bit the
-     * legacy optimize(); with it enabled the run stays deterministic
-     * for a fixed seed, cold or warm.
+     * Each call charges the run's RNG one fork(), so a run is
+     * deterministic for a fixed seed with the cache on or off, cold
+     * or warm.
      */
     synth::SynthService *synthService = nullptr;
 

@@ -4,9 +4,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <utility>
 
 #include "support/logging.h"
@@ -99,6 +97,37 @@ editDistance(const std::string &a, const std::string &b)
     return prev[b.size()];
 }
 
+/**
+ * The one parameter whose summary has a word starting with each
+ * '-'-separated part of @p key: the did-you-mean for a key no typo
+ * explains, such as a removed parameter whose replacement's summary
+ * says what it did. Empty when no parameter, or more than one,
+ * qualifies.
+ */
+std::string
+describedBy(const std::string &key, const std::vector<ParamSpec> &params)
+{
+    std::string found;
+    for (const ParamSpec &p : params) {
+        std::string words(1, ' ');
+        words += p.summary;
+        bool all = true;
+        for (std::size_t b = 0; all && b < key.size();) {
+            const std::size_t e = std::min(key.find('-', b), key.size());
+            std::string part(1, ' ');
+            part.append(key, b, e - b);
+            all = words.find(part) != std::string::npos;
+            b = e + 1;
+        }
+        if (!all)
+            continue;
+        if (!found.empty())
+            return "";
+        found = p.key;
+    }
+    return found;
+}
+
 } // namespace
 
 std::string
@@ -138,7 +167,9 @@ checkParams(const OptimizerInfo &info, const ParamMap &params)
             std::string msg = support::strcat(
                 "unknown parameter '", key, "' for algorithm '",
                 info.name, "'");
-            const std::string guess = closestName(key, keys);
+            std::string guess = closestName(key, keys);
+            if (guess.empty())
+                guess = describedBy(key, info.params);
             if (!guess.empty())
                 msg += support::strcat(" (did you mean '", guess, "'?)");
             if (keys.empty()) {
@@ -293,8 +324,6 @@ class GuoqFamilyOptimizer : public Optimizer
              "nominal eps per resynthesis call (<=0: auto)", "-1"},
             {"synth-workers", K::Int,
              "async resynthesis workers (0 = synchronous)", "0"},
-            {"async-resynth", K::Bool,
-             "deprecated alias for synth-workers=1", "false"},
             {"trace", K::Bool, "record a best-cost-over-time trace",
              "false"},
             {"sync-interval", K::Double,
@@ -352,18 +381,6 @@ class GuoqFamilyOptimizer : public Optimizer
                         cfg.base.resynthCallEpsilon);
         cfg.base.synthWorkers = static_cast<int>(paramLong(
             req.params, "synth-workers", cfg.base.synthWorkers));
-        if (req.params.count("async-resynth") != 0) {
-            static std::once_flag warned;
-            std::call_once(warned, [] {
-                std::fprintf(stderr,
-                             "guoq: warning: parameter 'async-resynth' "
-                             "is deprecated; use 'synth-workers' "
-                             "(N workers, 0 = synchronous)\n");
-            });
-            if (paramBool(req.params, "async-resynth", false) &&
-                cfg.base.synthWorkers == 0)
-                cfg.base.synthWorkers = 1;
-        }
         cfg.base.recordTrace =
             paramBool(req.params, "trace", cfg.base.recordTrace);
         cfg.threads = req.threads;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "support/logging.h"
 #include "synth/service.h"
 #include "transpile/to_gate_set.h"
@@ -89,11 +89,13 @@ Transformation::apply(const ir::Circuit &c, support::Rng &rng,
 {
     switch (kind_) {
       case TransformKind::RewriteRule: {
-        rewrite::PassResult r =
-            rewrite::applyRulePassRandom(c, *rule_, rng);
-        if (r.applications == 0)
+        // A one-shot engine: same anchor draw and gates as the pass
+        // the GUOQ loop runs on its persistent engine.
+        rewrite::RewriteEngine engine{ir::Circuit(c)};
+        if (!engine.preparePassRandom(*rule_, rng))
             return std::nullopt;
-        return TransformOutcome{std::move(r.circuit), 0.0};
+        engine.commit();
+        return TransformOutcome{engine.release(), 0.0};
       }
       case TransformKind::Fusion: {
         // Nearly every call fuses nothing: decide that without

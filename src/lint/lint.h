@@ -6,10 +6,11 @@
  * fixtures in tests/lint_fixtures/.
  *
  * Rules (each applies to a path scope; see ruleCatalog()):
- *  - thread-seam:   `std::thread` / `.detach()` only inside the
- *                   approved concurrency seams (core/portfolio,
- *                   synth/pool, serve/, verify/sampling,
- *                   bench/harness). Everything else must go through
+ *  - thread-seam:   `std::thread` / `std::async` / `.detach()` only
+ *                   inside the approved concurrency seams
+ *                   (core/portfolio, synth/pool, serve/,
+ *                   verify/sampling, bench/harness). Everything else
+ *                   must go through
  *                   those seams, so the TSan tier and the annotation
  *                   inventory in docs/CONCURRENCY.md stay exhaustive.
  *  - serve-fatal:   no `fatal()` / `abort()` in library code on the

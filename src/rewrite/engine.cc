@@ -79,7 +79,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
     usedStamp_.resize(n, 0);
     ++passEpoch_;
 
-    // The legacy pass visits anchors (start + off) % n for off 0..n-1
+    // The oracle pass visits anchors (start + off) % n for off 0..n-1
     // and lets matchAt reject every anchor whose kind differs from the
     // rule's first pattern gate. Restricted to the kind bucket, that
     // cyclic order is: bucket entries >= start ascending, then the
@@ -156,7 +156,7 @@ RewriteEngine::preparePass(const RewriteRule &rule,
         return std::nullopt;
 
     // Emission order: ascending insertPos, discovery order within a
-    // position — the legacy multimap semantics.
+    // position — the oracle's multimap semantics.
     emitOrder_.resize(pendingMatches_.size());
     for (std::size_t i = 0; i < emitOrder_.size(); ++i)
         emitOrder_[i] = i;
@@ -280,8 +280,7 @@ std::optional<RewriteEngine::Attempt>
 RewriteEngine::preparePassRandom(const RewriteRule &rule,
                                  support::Rng &rng)
 {
-    // Draw-for-draw the legacy applyRulePassRandom: one index draw on
-    // a non-empty circuit, none on an empty one.
+    // One index draw on a non-empty circuit, none on an empty one.
     const std::size_t anchor =
         circuit_.empty() ? 0 : rng.index(circuit_.size());
     return preparePass(rule, anchor);
@@ -511,6 +510,27 @@ RewriteEngine::checkInvariants() const
                                rule->name());
         }
     }
+}
+
+ir::Circuit
+applyRulesToFixpoint(const ir::Circuit &c,
+                     const std::vector<RewriteRule> &rules, int max_rounds)
+{
+    // One engine carries the circuit across every pass of every round,
+    // so each pass probes only its rule's kind bucket.
+    RewriteEngine engine{ir::Circuit(c)};
+    for (int round = 0; round < max_rounds; ++round) {
+        int fired = 0;
+        for (const RewriteRule &rule : rules) {
+            if (engine.preparePass(rule, 0)) {
+                fired += 1;
+                engine.commit();
+            }
+        }
+        if (fired == 0)
+            break;
+    }
+    return engine.release();
 }
 
 } // namespace rewrite

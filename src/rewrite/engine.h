@@ -1,20 +1,24 @@
 /**
  * @file
- * The incremental rewrite engine: the stateful fast path behind the
- * GUOQ loop, applyRulesToFixpoint, and the rl-like baseline.
+ * The incremental rewrite engine: the one implementation of a rule
+ * pass (paper §5.3, "Randomly selecting subcircuits"). A pass of a rule
+ * from a start anchor visits every anchor in cyclic order and replaces
+ * each match that is disjoint from, and not wire-adjacent to, the
+ * matches before it. The GUOQ loop, Transformation::apply,
+ * applyRulesToFixpoint and the baselines all run their passes here.
  *
- * The legacy pass (applier.cc) pays O(n) several times per *attempt*:
- * it builds a fresh Matcher (full CircuitDag), probes all n anchors
- * even when the gate kind cannot match the rule's first pattern gate,
- * and rebuilds the whole circuit through a std::multimap. The engine
- * instead owns the working circuit together with a persistent wire
- * index and per-GateKind anchor buckets:
+ * The copy-everything pass it replaced (tests/rule_pass_oracle.h)
+ * pays O(n) several times per *attempt*: it builds a fresh wire index,
+ * probes all n anchors even when the gate kind cannot match the rule's
+ * first pattern gate, and rebuilds the whole circuit through a
+ * std::multimap. The engine instead owns the working circuit together
+ * with a persistent wire index and per-GateKind anchor buckets:
  *
  *   circuit_  ──┬── dag_      (CircuitDag, rebuilt in place, no alloc)
  *               └── buckets_  (GateKind -> ascending gate indices)
  *
  *   preparePass(rule)  probe only buckets_[pattern[0].kind], in the
- *                      legacy cyclic anchor order   — O(bucket·|pat|)
+ *                      cyclic anchor order          — O(bucket·|pat|)
  *   commit()           one compaction sweep + reindex — O(n), accepted
  *                      passes only
  *   discard()          drop the pending pass          — O(matches)
@@ -43,10 +47,11 @@
  * outlive it (the rule libraries of rulesFor() are static).
  *
  * Equivalence contract: for any (circuit, rule, anchor), a
- * preparePass + commit yields bit-for-bit the gate list of the legacy
- * applyRulePass, and preparePassRandom consumes exactly the same RNG
- * draws as applyRulePassRandom — tests/test_rewrite_engine.cc holds
- * the two implementations to that differentially.
+ * preparePass + commit yields bit-for-bit the gate list of the oracle
+ * pass, and preparePassRandom consumes exactly the same RNG draws as
+ * the oracle's random pass (one index draw on a non-empty circuit) —
+ * tests/test_rewrite_engine.cc holds the engine to that
+ * differentially.
  */
 
 #pragma once
@@ -111,7 +116,7 @@ class RewriteEngine
     };
 
     /**
-     * Run one full rule pass from @p start_anchor in the legacy cyclic
+     * Run one full rule pass from @p start_anchor in the cyclic
      * anchor order, recording every match that neither overlaps nor
      * touches along a wire an earlier one of the pass, without
      * touching the working circuit. Returns std::nullopt (and leaves
@@ -124,9 +129,8 @@ class RewriteEngine
                                        std::size_t start_anchor);
 
     /**
-     * preparePass from a random anchor, consuming exactly the RNG
-     * draws of the legacy applyRulePassRandom (one index draw when the
-     * circuit is non-empty, none when empty).
+     * preparePass from a uniformly random anchor: one index draw when
+     * the circuit is non-empty, none when empty.
      */
     std::optional<Attempt> preparePassRandom(const RewriteRule &rule,
                                              support::Rng &rng);
@@ -185,7 +189,7 @@ class RewriteEngine
      */
     void stampRelinked();
     /**
-     * Walk the pending pass in output order, replicating the legacy
+     * Walk the pending pass in output order, replicating the oracle's
      * rebuild: at each original position first the replacement blocks
      * whose insertPos equals it (in discovery order), then the
      * original gate when unmatched. Calls
@@ -250,6 +254,15 @@ class RewriteEngine
     std::vector<std::uint64_t> probedStamp_;  // anchors probed, by epoch
     std::uint64_t probeEpoch_ = 0;
 };
+
+/**
+ * Repeatedly sweep all of @p rules (in order, anchor 0) until no rule
+ * fires or @p max_rounds is hit — the fixed-sequence baseline engine
+ * and resynthesis's exact cleanup.
+ */
+ir::Circuit applyRulesToFixpoint(const ir::Circuit &c,
+                                 const std::vector<RewriteRule> &rules,
+                                 int max_rounds = 64);
 
 } // namespace rewrite
 } // namespace guoq

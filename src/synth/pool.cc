@@ -28,6 +28,13 @@ Pool::~Pool()
         t.join();
 }
 
+int
+Pool::hardwareWorkers()
+{
+    return static_cast<int>(
+        std::max(std::thread::hardware_concurrency(), 1u));
+}
+
 bool
 Pool::trySubmit(std::function<void()> task)
 {

@@ -34,6 +34,9 @@ class Pool
 
     int workers() const { return static_cast<int>(threads_.size()); }
 
+    /** One worker per hardware thread (at least 1): the default size. */
+    static int hardwareWorkers();
+
     /**
      * Enqueue @p task unless the queue is at capacity; returns false
      * (task dropped, not run) when full.

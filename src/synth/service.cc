@@ -33,29 +33,46 @@ cacheable(const ir::Circuit &sub, const ResynthOptions &opts)
 void
 SynthService::configurePool(int workers, std::size_t queue_capacity)
 {
-    if (workers <= 0) {
-        pool_.reset();
-        return;
+    std::unique_ptr<Pool> fresh;
+    if (workers > 0)
+        fresh = std::make_unique<Pool>(workers, queue_capacity);
+    {
+        support::MutexLock lock(poolMutex_);
+        pool_.swap(fresh);
     }
-    pool_ = std::make_unique<Pool>(workers, queue_capacity);
+    // `fresh` now holds the old pool: its destructor drains and joins
+    // outside the lock.
+}
+
+int
+SynthService::poolWorkers() const
+{
+    support::MutexLock lock(poolMutex_);
+    return pool_ ? pool_->workers() : 0;
+}
+
+long
+SynthService::poolQueuePeak() const
+{
+    support::MutexLock lock(poolMutex_);
+    return pool_ ? static_cast<long>(pool_->queuePeak()) : 0;
 }
 
 SynthOutcome
 SynthService::resynthesize(const ir::Circuit &sub,
                            const ResynthOptions &opts, support::Rng &rng)
 {
-    SynthOutcome out;
-    if (!cacheEnabled_.load()) {
-        // Pass-through: the caller's stream advances exactly as it
-        // did before the service existed (bit-for-bit legacy).
-        out.result = synth::resynthesize(sub, opts, rng);
-        return out;
-    }
-    // Exactly one parent draw per request, hit or miss, so cold and
-    // warm runs see identical parent streams.
     support::Rng child = rng.fork();
-    if (!cacheable(sub, opts)) {
-        out.result = synth::resynthesize(sub, opts, child);
+    return run(sub, opts, child);
+}
+
+SynthOutcome
+SynthService::run(const ir::Circuit &sub, const ResynthOptions &opts,
+                  support::Rng &rng)
+{
+    SynthOutcome out;
+    if (!cacheEnabled_.load() || !cacheable(sub, opts)) {
+        out.result = synth::resynthesize(sub, opts, rng);
         return out;
     }
     const linalg::ComplexMatrix u = sim::circuitUnitary(sub);
@@ -83,7 +100,7 @@ SynthService::resynthesize(const ir::Circuit &sub,
         }
     }
     out.cacheMiss = true;
-    out.result = synth::resynthesize(sub, opts, child);
+    out.result = synth::resynthesize(sub, opts, rng);
     CacheEntry stored;
     stored.success = out.result.success;
     if (out.result.success) {
@@ -96,21 +113,18 @@ SynthService::resynthesize(const ir::Circuit &sub,
 
 std::optional<std::future<SynthOutcome>>
 SynthService::submit(ir::Circuit sub, ResynthOptions opts,
-                     support::Rng rng)
+                     support::Rng &rng)
 {
-    if (!pool_) {
-        // Legacy shape: one detached async task per request.
-        return std::async(std::launch::async,
-                          [this, sub = std::move(sub), opts,
-                           rng]() mutable {
-                              return resynthesize(sub, opts, rng);
-                          });
-    }
+    // Forked before the queue is consulted, so a dropped request
+    // charges the caller's stream like a run one.
     auto task = std::make_shared<std::packaged_task<SynthOutcome()>>(
-        [this, sub = std::move(sub), opts, rng]() mutable {
-            return resynthesize(sub, opts, rng);
+        [this, sub = std::move(sub), opts, child = rng.fork()]() mutable {
+            return run(sub, opts, child);
         });
     std::future<SynthOutcome> fut = task->get_future();
+    support::MutexLock lock(poolMutex_);
+    if (!pool_)
+        pool_ = std::make_unique<Pool>(Pool::hardwareWorkers());
     if (!pool_->trySubmit([task] { (*task)(); }))
         return std::nullopt;
     return fut;

@@ -6,13 +6,18 @@
  * resynthesize() front end, and is shared across portfolio workers.
  *
  * Determinism contract:
- *  - cache disabled: the caller's RNG is passed straight through, so
- *    the legacy core::optimize() stream is bit-for-bit unchanged;
- *  - cache enabled: the service consumes exactly one fork() from the
- *    caller's RNG per request — hit or miss — so a warm run replays
- *    the cold run's parent stream exactly;
+ *  - every request, synchronous or submitted, consumes exactly one
+ *    fork() from the caller's RNG — hit or miss, cache on or off, run
+ *    or dropped by a full queue — and synthesizes from that child
+ *    stream, so the caller's stream never depends on the cache's
+ *    contents or on the pool, and a warm run replays the cold run's
+ *    parent stream exactly;
  *  - a hit re-validates the stored circuit's HS distance against the
  *    request's ε before use, so it can never loosen the error bound.
+ *
+ * Asynchronous requests always run on the service's worker pool. A
+ * pool nobody sized is created by the first submit(), with one worker
+ * per hardware thread.
  */
 
 #pragma once
@@ -25,7 +30,9 @@
 #include <string>
 
 #include "ir/circuit.h"
+#include "support/mutex.h"
 #include "support/rng.h"
+#include "support/thread_annotations.h"
 #include "synth/cache.h"
 #include "synth/pool.h"
 #include "synth/resynth.h"
@@ -68,16 +75,18 @@ class SynthService
     SynthCache &cache() { return cache_; }
 
     /**
-     * (Re)size the worker pool; 0 tears it down, restoring the legacy
-     * one-detached-thread-per-request behavior for async submits. Not
-     * safe to call while optimizer runs are in flight.
+     * (Re)size the worker pool; @p workers <= 0 tears it down, and the
+     * next submit() then creates the default-sized one. Waits for the
+     * old pool's queued and running requests. Not meant to be called
+     * while optimizer runs are in flight: their later submits would
+     * land on the new pool.
      */
-    void configurePool(int workers, std::size_t queue_capacity = 64);
-    int poolWorkers() const { return pool_ ? pool_->workers() : 0; }
-    long poolQueuePeak() const
-    {
-        return pool_ ? static_cast<long>(pool_->queuePeak()) : 0;
-    }
+    void configurePool(int workers, std::size_t queue_capacity = 64)
+        EXCLUDES(poolMutex_);
+    /** The pool's worker count; 0 before the pool exists. */
+    int poolWorkers() const EXCLUDES(poolMutex_);
+    /** The pool's queue high-water mark; 0 before the pool exists. */
+    long poolQueuePeak() const EXCLUDES(poolMutex_);
 
     /** Synchronous cache-aware resynthesis (see contract above). */
     SynthOutcome resynthesize(const ir::Circuit &sub,
@@ -85,13 +94,14 @@ class SynthService
                               support::Rng &rng);
 
     /**
-     * Asynchronous resynthesis on the pool (or a detached std::async
-     * when no pool is configured). @p rng must already be forked from
-     * the caller's stream. Returns nullopt when the bounded queue is
-     * full — the request is dropped, not queued.
+     * Asynchronous resynthesis on the pool, which the first call
+     * creates when configurePool() has not sized it. Forks @p rng once
+     * on the calling thread (see contract above). Returns nullopt when
+     * the bounded queue is full — the request is dropped, not queued.
      */
     std::optional<std::future<SynthOutcome>>
-    submit(ir::Circuit sub, ResynthOptions opts, support::Rng rng);
+    submit(ir::Circuit sub, ResynthOptions opts, support::Rng &rng)
+        EXCLUDES(poolMutex_);
 
     /** Enable the cache and merge `<dir>`'s persistent tier into it. */
     bool loadCacheDir(const std::string &dir, std::string *err = nullptr);
@@ -106,9 +116,16 @@ class SynthService
     static SynthService &global();
 
   private:
+    /** One request on the child stream @p rng (cache, then synthesis). */
+    SynthOutcome run(const ir::Circuit &sub, const ResynthOptions &opts,
+                     support::Rng &rng);
+
     std::atomic<bool> cacheEnabled_{false};
     SynthCache cache_;
-    std::unique_ptr<Pool> pool_;
+    // poolMutex_ guards the pointer, so concurrent first submits create
+    // one pool; the Pool itself is internally synchronized.
+    mutable support::Mutex poolMutex_;
+    std::unique_ptr<Pool> pool_ GUARDED_BY(poolMutex_);
 };
 
 } // namespace synth

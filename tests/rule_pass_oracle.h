@@ -1,16 +1,68 @@
-#include "rewrite/applier.h"
+/**
+ * @file
+ * The copy-everything rule pass that rewrite transformations ran (paper
+ * §5.3, "Randomly selecting subcircuits") before rewrite::RewriteEngine,
+ * kept outside the library as the reference the engine is
+ * differentially tested against (tests/test_rewrite_engine.cc) and the
+ * `legacy` tool of the `rewrite_throughput` bench case measures.
+ *
+ * One pass of a rule from a start anchor visits every anchor in cyclic
+ * order, and replaces each match whose gates are neither used by nor
+ * wire neighbours of an earlier match of the pass. Every pass builds a
+ * fresh wire index (Matcher), probes all n anchors and rebuilds the
+ * whole circuit through a std::multimap.
+ */
 
-#include <algorithm>
+#pragma once
+
+#include <cstddef>
 #include <map>
+#include <optional>
+#include <vector>
 
-#include "rewrite/engine.h"
+#include "dag/circuit_dag.h"
+#include "ir/circuit.h"
 #include "rewrite/matcher.h"
+#include "rewrite/rule.h"
+#include "support/rng.h"
 
 namespace guoq {
-namespace rewrite {
+namespace oracle {
 
-PassResult
-applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
+/** rewrite::matchAt over one circuit, with its own wire index. */
+class Matcher
+{
+  public:
+    explicit Matcher(const ir::Circuit &c) : circuit_(c), dag_(c) {}
+
+    /** rewrite::matchAt with pattern gate 0 at @p anchor. */
+    std::optional<rewrite::Match>
+    matchAt(const rewrite::RewriteRule &rule, std::size_t anchor) const
+    {
+        return rewrite::matchAt(circuit_, dag_, rule, anchor, scratch_);
+    }
+
+    const dag::CircuitDag &dag() const { return dag_; }
+
+  private:
+    const ir::Circuit &circuit_;
+    dag::CircuitDag dag_;
+    mutable rewrite::MatchScratch scratch_;
+};
+
+/** Outcome of a rule pass. */
+struct PassResult
+{
+    ir::Circuit circuit;
+    int applications = 0; //!< number of disjoint matches replaced
+};
+
+/**
+ * One full pass of @p rule over @p c from @p start_anchor, wrapping
+ * around; greedy and deterministic given the anchor.
+ */
+inline PassResult
+applyRulePass(const ir::Circuit &c, const rewrite::RewriteRule &rule,
               std::size_t start_anchor)
 {
     const std::size_t n = c.size();
@@ -73,36 +125,14 @@ applyRulePass(const ir::Circuit &c, const RewriteRule &rule,
     return result;
 }
 
-PassResult
-applyRulePassRandom(const ir::Circuit &c, const RewriteRule &rule,
+/** applyRulePass from a uniformly random anchor (no draw when empty). */
+inline PassResult
+applyRulePassRandom(const ir::Circuit &c, const rewrite::RewriteRule &rule,
                     support::Rng &rng)
 {
     const std::size_t anchor = c.empty() ? 0 : rng.index(c.size());
     return applyRulePass(c, rule, anchor);
 }
 
-ir::Circuit
-applyRulesToFixpoint(const ir::Circuit &c,
-                     const std::vector<RewriteRule> &rules, int max_rounds)
-{
-    // One engine carries the circuit across every pass of every round,
-    // so each pass probes only its rule's kind bucket instead of
-    // rebuilding Matcher + circuit from scratch (legacy behavior is
-    // preserved pass for pass; see tests/test_rewrite_engine.cc).
-    RewriteEngine engine{ir::Circuit(c)};
-    for (int round = 0; round < max_rounds; ++round) {
-        int fired = 0;
-        for (const RewriteRule &rule : rules) {
-            if (engine.preparePass(rule, 0)) {
-                fired += 1;
-                engine.commit();
-            }
-        }
-        if (fired == 0)
-            break;
-    }
-    return engine.release();
-}
-
-} // namespace rewrite
+} // namespace oracle
 } // namespace guoq

@@ -1,4 +1,8 @@
-/** @file Tests for the rewrite-rule matcher. */
+/**
+ * @file
+ * Tests for the rewrite-rule matcher (rewrite::matchAt), probed through
+ * the oracle's one-circuit Matcher wrapper.
+ */
 
 #include <gtest/gtest.h>
 
@@ -6,11 +10,13 @@
 
 #include "rewrite/matcher.h"
 #include "rewrite/rule.h"
+#include "tests/rule_pass_oracle.h"
 
 namespace guoq {
 namespace {
 
 using namespace rewrite;
+using oracle::Matcher;
 using ir::GateKind;
 
 RewriteRule

@@ -16,6 +16,28 @@
 namespace guoq {
 namespace {
 
+/** @p source parsed; a parse error fails the calling test. */
+ir::Circuit
+parseOk(const std::string &source)
+{
+    qasm::ParseResult r = qasm::parseSource(source);
+    EXPECT_TRUE(r.ok) << r.error.str();
+    return std::move(r.circuit);
+}
+
+/** @p source is rejected with a located error mentioning @p what. */
+::testing::AssertionResult
+rejectsLocated(const std::string &source, const std::string &what)
+{
+    const qasm::ParseResult r = qasm::parseSource(source);
+    if (r.ok)
+        return ::testing::AssertionFailure() << "parsed: " << source;
+    if (r.error.line < 1 || r.error.col < 1 ||
+        r.error.message.find(what) == std::string::npos)
+        return ::testing::AssertionFailure() << r.error.str();
+    return ::testing::AssertionSuccess();
+}
+
 TEST(QasmPrinter, EmitsHeaderAndRegister)
 {
     ir::Circuit c(3);
@@ -45,7 +67,7 @@ TEST(QasmPrinter, EmitsExtraDefsOnlyWhenNeeded)
 
 TEST(QasmParser, ParsesSimpleProgram)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const ir::Circuit c = parseOk(R"(
         OPENQASM 2.0;
         include "qelib1.inc";
         qreg q[2];
@@ -60,7 +82,7 @@ TEST(QasmParser, ParsesSimpleProgram)
 
 TEST(QasmParser, EvaluatesAngleExpressions)
 {
-    const ir::Circuit c = qasm::parse(
+    const ir::Circuit c = parseOk(
         "qreg q[1]; rz(pi/2) q[0]; rz(-pi) q[0]; rz(3*pi/4+0.5) q[0]; "
         "rz((1+2)*0.25) q[0];");
     ASSERT_EQ(c.size(), 4u);
@@ -72,7 +94,7 @@ TEST(QasmParser, EvaluatesAngleExpressions)
 
 TEST(QasmParser, FlattensMultipleRegisters)
 {
-    const ir::Circuit c = qasm::parse(
+    const ir::Circuit c = parseOk(
         "qreg a[2]; qreg b[2]; cx a[1], b[0];");
     ASSERT_EQ(c.size(), 1u);
     EXPECT_EQ(c.numQubits(), 4);
@@ -82,7 +104,7 @@ TEST(QasmParser, FlattensMultipleRegisters)
 
 TEST(QasmParser, IgnoresBarriersCommentsCreg)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const ir::Circuit c = parseOk(R"(
         // a comment
         qreg q[2];
         creg c[2];
@@ -95,7 +117,7 @@ TEST(QasmParser, IgnoresBarriersCommentsCreg)
 
 TEST(QasmParser, SkipsGateDefinitions)
 {
-    const ir::Circuit c = qasm::parse(R"(
+    const ir::Circuit c = parseOk(R"(
         qreg q[1];
         gate mygate(a) x { rz(a) x; rz(a) x; }
         t q[0];
@@ -106,7 +128,7 @@ TEST(QasmParser, SkipsGateDefinitions)
 
 TEST(QasmParser, BroadcastsSingleQubitGatesOverRegisters)
 {
-    const ir::Circuit c = qasm::parse("qreg q[3]; h q; x q[1];");
+    const ir::Circuit c = parseOk("qreg q[3]; h q; x q[1];");
     ASSERT_EQ(c.size(), 4u);
     EXPECT_EQ(c.gate(0).kind, ir::GateKind::H);
     EXPECT_EQ(c.gate(2).qubits[0], 2);
@@ -115,7 +137,7 @@ TEST(QasmParser, BroadcastsSingleQubitGatesOverRegisters)
 TEST(QasmParser, ResolvesAliasNames)
 {
     // U/u are the builtin u3 matrix; p/phase are u1; id is a no-op.
-    const ir::Circuit c = qasm::parse(
+    const ir::Circuit c = parseOk(
         "qreg q[2]; U(0.1, 0.2, 0.3) q[0]; p(0.5) q[1]; id q[0]; "
         "CX q[0], q[1];");
     ASSERT_EQ(c.size(), 3u);
@@ -203,41 +225,25 @@ TEST(QasmParseResult, MissingFileReportsPathWithoutPosition)
     EXPECT_NE(r.error.str().find("cannot open"), std::string::npos);
 }
 
-TEST(QasmParseResult, LegacyParseFileFatalNamesThePath)
-{
-    const std::string path =
-        testing::TempDir() + "guoq_qasm_bad_legacy.qasm";
-    {
-        std::ofstream out(path);
-        out << "qreg q[1];\nbadgate q[0];\n";
-    }
-    EXPECT_EXIT(qasm::parseFile(path), ::testing::ExitedWithCode(1),
-                "bad_legacy\\.qasm:2:1");
-    std::remove(path.c_str());
-}
-
 TEST(QasmParser, RejectsMeasurement)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[1]; creg c[1]; measure q[0] -> c[0];"),
-                ::testing::ExitedWithCode(1), "measure");
+    EXPECT_TRUE(rejectsLocated(
+        "qreg q[1]; creg c[1]; measure q[0] -> c[0];", "measure"));
 }
 
 TEST(QasmParser, RejectsUnknownGate)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[1]; zzz q[0];"),
-                ::testing::ExitedWithCode(1), "unknown gate");
+    EXPECT_TRUE(rejectsLocated("qreg q[1]; zzz q[0];", "unknown gate"));
 }
 
 TEST(QasmParser, RejectsOutOfRangeQubit)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[2]; h q[5];"),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_TRUE(rejectsLocated("qreg q[2]; h q[5];", "out of range"));
 }
 
 TEST(QasmParser, RejectsArityMismatch)
 {
-    EXPECT_EXIT(qasm::parse("qreg q[2]; cx q[0];"),
-                ::testing::ExitedWithCode(1), "expects");
+    EXPECT_TRUE(rejectsLocated("qreg q[2]; cx q[0];", "expects"));
 }
 
 class QasmRoundTrip : public ::testing::TestWithParam<int>
@@ -251,7 +257,7 @@ TEST_P(QasmRoundTrip, PrintParsePreservesSemantics)
     const ir::GateSetKind set =
         sets[static_cast<std::size_t>(GetParam()) % sets.size()];
     const ir::Circuit c = testutil::randomNativeCircuit(set, 4, 25, rng);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const ir::Circuit back = parseOk(qasm::toQasm(c));
     ASSERT_EQ(back.size(), c.size());
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
@@ -261,14 +267,14 @@ INSTANTIATE_TEST_SUITE_P(AllSets, QasmRoundTrip, ::testing::Range(0, 15));
 TEST(QasmRoundTripWorkloads, QftSurvives)
 {
     const ir::Circuit c = workloads::qft(4);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const ir::Circuit back = parseOk(qasm::toQasm(c));
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
 
 TEST(QasmRoundTripWorkloads, ToffoliChainSurvives)
 {
     const ir::Circuit c = workloads::barencoTof(3);
-    const ir::Circuit back = qasm::parse(qasm::toQasm(c));
+    const ir::Circuit back = parseOk(qasm::toQasm(c));
     EXPECT_LT(sim::circuitDistance(c, back), testutil::kExact);
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * The incremental rewrite engine's contract (PR-010):
+ * The incremental rewrite engine's contract:
  *
  *  - differential: for randomized circuits over all five rule
  *    libraries, every (rule, anchor) pass through the engine produces
- *    gate-for-gate the legacy applyRulePass result, both committed
- *    and as a materialized-but-uncommitted candidate;
+ *    gate-for-gate the result of the copy-everything oracle pass
+ *    (tests/rule_pass_oracle.h), both committed and as a
+ *    materialized-but-uncommitted candidate;
  *  - RNG equivalence: preparePassRandom consumes exactly the draws of
- *    applyRulePassRandom;
+ *    the oracle's applyRulePassRandom;
  *  - invariants: wire links, kind buckets, cached counters and gate
  *    stamps are revalidated after every splice, and no rule the no-op
  *    memo holds as empty may match unseen (checkInvariants death
@@ -31,12 +32,12 @@
 
 #include "core/guoq.h"
 #include "fidelity/error_model.h"
-#include "rewrite/applier.h"
 #include "rewrite/engine.h"
 #include "rewrite/rule.h"
 #include "sim/statevector.h"
 #include "sim/unitary_sim.h"
 #include "support/rng.h"
+#include "tests/rule_pass_oracle.h"
 #include "tests/test_util.h"
 #include "transpile/to_gate_set.h"
 #include "workloads/variational.h"
@@ -64,7 +65,7 @@ sameGates(const ir::Circuit &a, const ir::Circuit &b)
 }
 
 // ---------------------------------------------------------------------
-// Differential: engine pass == legacy pass, per accepted application.
+// Differential: engine pass == oracle pass, per accepted application.
 // ---------------------------------------------------------------------
 
 TEST(RewriteEngineDifferential, EveryPassMatchesLegacyAcrossAllSets)
@@ -85,8 +86,8 @@ TEST(RewriteEngineDifferential, EveryPassMatchesLegacyAcrossAllSets)
                     rules[rng.index(rules.size())];
                 const std::size_t anchor =
                     c.empty() ? 0 : rng.index(c.size());
-                rewrite::PassResult legacy =
-                    rewrite::applyRulePass(c, rule, anchor);
+                oracle::PassResult legacy =
+                    oracle::applyRulePass(c, rule, anchor);
                 auto att = engine.preparePass(rule, anchor);
                 if (legacy.applications == 0) {
                     ASSERT_FALSE(att.has_value())
@@ -130,8 +131,8 @@ TEST(RewriteEngineDifferential, RandomAnchorConsumesSameDraws)
     for (int step = 0; step < 300; ++step) {
         const std::size_t ri = rng_legacy.index(rules.size());
         ASSERT_EQ(ri, rng_engine.index(rules.size()));
-        rewrite::PassResult legacy =
-            rewrite::applyRulePassRandom(c, rules[ri], rng_legacy);
+        oracle::PassResult legacy =
+            oracle::applyRulePassRandom(c, rules[ri], rng_legacy);
         auto att = engine.preparePassRandom(rules[ri], rng_engine);
         if (legacy.applications == 0) {
             ASSERT_FALSE(att.has_value());
@@ -178,13 +179,13 @@ TEST(RewriteEngineDifferential, FixpointMatchesLegacyRoundRobin)
         const ir::Circuit c =
             testutil::randomNativeCircuit(set, 5, 80, rng);
 
-        // The legacy loop, verbatim from the pre-engine applier.
+        // The round-robin loop, verbatim from the pre-engine applier.
         ir::Circuit expect = c;
         for (int round = 0; round < 64; ++round) {
             int fired = 0;
             for (const rewrite::RewriteRule &rule : rules) {
-                rewrite::PassResult r =
-                    rewrite::applyRulePass(expect, rule, 0);
+                oracle::PassResult r =
+                    oracle::applyRulePass(expect, rule, 0);
                 if (r.applications > 0) {
                     expect = std::move(r.circuit);
                     fired += r.applications;
@@ -345,8 +346,8 @@ TEST(RewriteEngineSoundness, AdjacentMatchesAreNotBothApplied)
             rule = &r;
     ASSERT_NE(rule, nullptr);
     for (std::size_t anchor = 0; anchor < c.size(); ++anchor) {
-        const rewrite::PassResult legacy =
-            rewrite::applyRulePass(c, *rule, anchor);
+        const oracle::PassResult legacy =
+            oracle::applyRulePass(c, *rule, anchor);
         EXPECT_EQ(legacy.applications, 1) << "anchor " << anchor;
         EXPECT_LT(sim::circuitDistance(c, legacy.circuit), 1e-9)
             << "anchor " << anchor;

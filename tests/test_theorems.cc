@@ -11,7 +11,7 @@
 #include "core/guoq.h"
 #include "dag/subcircuit.h"
 #include "sim/unitary_sim.h"
-#include "rewrite/applier.h"
+#include "rewrite/engine.h"
 #include "synth/resynth.h"
 #include "tests/test_util.h"
 
@@ -66,13 +66,15 @@ TEST(Theorem42, ExactTransformationsAccumulateNothing)
     support::Rng rng(100);
     const ir::Circuit original = testutil::randomNativeCircuit(
         ir::GateSetKind::CliffordT, 4, 40, rng);
-    ir::Circuit cur = original;
+    rewrite::RewriteEngine engine{ir::Circuit(original)};
     const auto &rules = rewrite::rulesFor(ir::GateSetKind::CliffordT);
     for (int step = 0; step < 50; ++step) {
         const auto &rule = rules[rng.index(rules.size())];
-        cur = rewrite::applyRulePassRandom(cur, rule, rng).circuit;
+        if (engine.preparePassRandom(rule, rng))
+            engine.commit();
     }
-    EXPECT_LT(sim::circuitDistance(original, cur), testutil::kExact);
+    EXPECT_LT(sim::circuitDistance(original, engine.circuit()),
+              testutil::kExact);
 }
 
 TEST(Theorem53, ErrorBoundNeverExceedsBudgetAcrossSeeds)
